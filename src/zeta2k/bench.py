@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from statistics import median
 
 from .bernoulli import BernoulliTable, zeta_coeff_via_bernoulli
+from .exact import _int_str, format_rational
 from .recursive import ZetaCoeffTable
 
 __all__ = ["BenchRow", "BenchReport", "BackendMismatchError", "bench_compare", "DEFAULT_SWEEP"]
@@ -32,7 +33,8 @@ class BackendMismatchError(Exception):
         self.bernoulli_value = bernoulli_value
         super().__init__(
             f"backends disagree at k={k}: "
-            f"recursive={recursive_value} bernoulli={bernoulli_value}"
+            f"recursive={format_rational(recursive_value)} "
+            f"bernoulli={format_rational(bernoulli_value)}"
         )
 
 
@@ -108,7 +110,7 @@ def bench_compare(k_values, reps: int = 3) -> BenchReport:
         for value, _ in recursive_runs + bernoulli_runs:
             if value != reference:
                 raise BackendMismatchError(k, reference, value)
-        digits = len(str(reference.numerator)) + len(str(reference.denominator))
+        digits = len(_int_str(reference.numerator)) + len(_int_str(reference.denominator))
         rows.append(
             BenchRow(
                 k=k,

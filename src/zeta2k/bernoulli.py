@@ -22,6 +22,8 @@ import json
 from fractions import Fraction
 from math import comb, factorial
 
+from .exact import _int_str
+
 __all__ = ["BernoulliTable", "zeta_coeff_via_bernoulli"]
 
 
@@ -60,7 +62,7 @@ class BernoulliTable:
     def rows(self) -> list[dict[str, object]]:
         """Export rows {"m": int, "num": str, "den": str} in ascending m."""
         return [
-            {"m": m, "num": str(b.numerator), "den": str(b.denominator)}
+            {"m": m, "num": _int_str(b.numerator), "den": _int_str(b.denominator)}
             for m, b in enumerate(self._values)
         ]
 

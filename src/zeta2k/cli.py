@@ -22,7 +22,7 @@ from mpmath import mp
 
 from .bench import DEFAULT_SWEEP, BackendMismatchError, bench_compare
 from .bernoulli import BernoulliTable, zeta_coeff_via_bernoulli
-from .exact import format_rational
+from .exact import _int_str, format_rational
 from .fourier import (
     b_factor,
     b_product_closed,
@@ -140,7 +140,9 @@ def _cmd_coeff(args) -> tuple[str, int]:
     c = ZetaCoeffTable(args.k).coeff(args.k)
     if args.format == "json":
         return (
-            json.dumps({"k": args.k, "num": str(c.numerator), "den": str(c.denominator)}),
+            json.dumps(
+                {"k": args.k, "num": _int_str(c.numerator), "den": _int_str(c.denominator)}
+            ),
             0,
         )
     return format_rational(c), 0

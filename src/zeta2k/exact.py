@@ -5,8 +5,8 @@ already maintain the canonical form the cross-backend equality tests rely
 on: positive denominator, coprime numerator/denominator, zero stored as
 0/1, equality structural.  Values are immutable and safe to share across
 threads.  This module adds the pieces the stdlib does not pin down: a
-strict ``num/den`` text form and a binomial that rejects out-of-range
-arguments instead of returning 0.
+strict ``num/den`` text form, decimal text for integers of any size, and a
+binomial that rejects out-of-range arguments instead of returning 0.
 """
 
 from __future__ import annotations
@@ -46,7 +46,29 @@ def binomial(n: int, m: int) -> int:
 
 def format_rational(q: Fraction) -> str:
     """Render as ``num/den``, always including the denominator ("0/1", "-1/30")."""
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
+# Below Python's smallest allowed int->str limit (640 digits): 1900 bits
+# is at most 572 digits, so str() is safe on every piece.
+_STR_PIECE_BITS = 1900
+
+
+def _int_str(n: int) -> str:
+    """Decimal text of n, like str(n) but for any number of digits.
+
+    Python 3.11 (and 3.10.7 on) refuses str() on ints longer than
+    sys.get_int_max_str_digits(), 4300 digits by default.  Splitting at a power
+    of ten near half the digits keeps every str() call small; the
+    divisions cost about what one unlimited str() would.
+    """
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _STR_PIECE_BITS:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the digits (log10 2 > 3/10)
+    high, low = divmod(n, 10**half)
+    return _int_str(high) + _int_str(low).rjust(half, "0")
 
 
 def parse_rational(text: str) -> Fraction:

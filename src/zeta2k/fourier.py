@@ -38,6 +38,7 @@ from math import factorial
 import numpy as np
 from mpmath import mp
 
+from .exact import _int_str
 from .precision import HighPrecReal
 
 __all__ = [
@@ -211,7 +212,7 @@ def _legendre_nodes(order: int, dps: int):
 def _quad_dps(k: int, tol: float) -> int:
     # |A| reaches ~2*(2k)!*pi^(2k-2), far past float64 for larger k, and
     # tol is absolute; size the working precision off both.
-    magnitude_digits = len(str(2 * factorial(2 * k))) + k
+    magnitude_digits = len(_int_str(2 * factorial(2 * k))) + k
     tol_digits = max(12, -math.floor(math.log10(tol)))
     return magnitude_digits + tol_digits + 16
 

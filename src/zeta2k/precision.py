@@ -30,6 +30,8 @@ from typing import Any
 
 from mpmath import mp
 
+from .exact import _int_str
+
 __all__ = [
     "PrecisionConfig",
     "HighPrecReal",
@@ -133,7 +135,7 @@ def pi_digits(frac_digits: int) -> str:
     """pi truncated to the given number of fractional digits, as text."""
     if frac_digits < 1:
         raise ValueError("frac_digits must be >= 1")
-    s = str(_pi_scaled(frac_digits))
+    s = _int_str(_pi_scaled(frac_digits))
     return f"{s[0]}.{s[1:]}"
 
 
@@ -205,7 +207,7 @@ def feasible_digits(k: int, max_sum_terms: int) -> int:
     if k < 1 or max_sum_terms < 1:
         raise ValueError("k and max_sum_terms must be >= 1")
     m = (2 * k - 1) * max_sum_terms ** (2 * k - 1)
-    t = len(str(m)) - 1
+    t = len(_int_str(m)) - 1
     if m == 10**t:
         t -= 1  # the bound is strict
     return max(0, t - 2)
@@ -299,7 +301,7 @@ def format_real(x: HighPrecReal) -> str:
             if scaled >= 10 ** (d + 1):  # rounding pushed the mantissa to 10
                 exp += 1
                 scaled = int(mp.nint(abs(v) * mp.mpf(10) ** (d - exp)))
-            s = str(scaled)
+            s = _int_str(scaled)
             mant = f"{s[0]}.{s[1:]}" if d else s
             sign = "-" if v < 0 else ""
             return f"{sign}{mant}e{exp:+03d}"
@@ -309,5 +311,5 @@ def format_real(x: HighPrecReal) -> str:
 def _fixed(v, d: int) -> str:
     sign = "-" if v < 0 else ""
     scaled = int(mp.nint(abs(v) * mp.mpf(10) ** d))
-    s = str(scaled).rjust(d + 1, "0")
+    s = _int_str(scaled).rjust(d + 1, "0")
     return f"{sign}{s[:-d]}.{s[-d:]}" if d else f"{sign}{s}"

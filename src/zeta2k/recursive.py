@@ -3,16 +3,25 @@
 Evaluating the cosine expansion of (x - pi)^(2k) at x = 0 gives, for every
 k >= 1, the exact rational identity
 
-    k/(2k+1)!  =  sum_{j=0}^{k-1} (-1)^j * c_{j+1} / (2k-2j-1)!
+    k/(2k+1)!  =  sum_{m=1}^{k} (-1)^(m-1) * c_m / (2k-2m+1)!
 
-whose j = k-1 term is (-1)^(k-1) * c_k.  Solving for that term yields the
-recursion implemented here:
+whose m = k term is (-1)^(k-1) * c_k, so each c_k follows from the ones
+before it.  The empty sum at k = 1 gives c_1 = 1/3! = 1/6, i.e.
+zeta(2) = pi^2/6.
 
-    c_k = (-1)^(k+1) * ( k/(2k+1)!  +  sum_{j=0}^{k-2} (-1)^(j+1) * c_{j+1} / (2k-2j-1)! )
+The table runs this recursion on integers.  With K the largest k wanted
+and L = lcm(1, ..., 2K+1), multiplying the identity by (2k+1)! * L gives
 
-The empty sum at k = 1 gives c_1 = 1/3! = 1/6, i.e. zeta(2) = pi^2/6.
-All arithmetic is exact; pi never enters (it is reattached at evaluation
-time by :mod:`zeta2k.precision`).
+    k * L  =  sum_{m=1}^{k} (-1)^(m-1) * C(2k+1, 2m) * E_m,
+    E_m = L * (2m)! * c_m,
+
+and every E_m is an integer: (2m)! * c_m = 2^(2m-1) * |B_2m|, and the
+denominator of B_2m is a product of distinct primes p <= 2m+1.  The m = k
+term has C(2k+1, 2k) = 2k+1, so each new E_k costs one exact division of
+an integer sum, and c_k = E_k / (L * (2k)!) is reduced once.  Fractions,
+and the gcds their sums pay for, stay out of the inner loop.  All
+arithmetic is exact; pi never enters (it is reattached at evaluation time
+by :mod:`zeta2k.precision`).
 """
 
 from __future__ import annotations
@@ -20,8 +29,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+
+from .exact import _int_str
 
 __all__ = ["ZetaCoeffTable", "consistency_residual"]
 
@@ -30,16 +42,17 @@ class ZetaCoeffTable:
     """Memoized table of c_1 .. c_max_k.
 
     Construction is inherently sequential (c_k depends on every earlier
-    entry), so building and :meth:`extend` need exclusive access; a table
-    that is no longer being extended can be read concurrently.  Extension
-    reuses all existing entries, so growing a table is O(growth * max_k)
-    rational operations rather than a fresh quadratic rebuild.
+    entry), so :meth:`extend` holds a lock; :meth:`coeff` and
+    :func:`consistency_residual` may grow a table shared between threads.
+    Extension reuses all existing entries, so growing a table costs
+    O(growth * max_k) integer operations rather than a fresh rebuild.
     """
 
     def __init__(self, max_k: int):
         if max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {max_k}")
         self._coeffs: list[Fraction] = []
+        self._lock = threading.Lock()
         self.extend(max_k)
 
     @property
@@ -53,13 +66,35 @@ class ZetaCoeffTable:
 
     def extend(self, new_max_k: int) -> None:
         """Grow the table so that c_1 .. c_new_max_k are available."""
-        c = self._coeffs
-        for k in range(len(c) + 1, new_max_k + 1):
-            s = Fraction(k, factorial(2 * k + 1))
-            for j in range(k - 1):
-                term = c[j] / factorial(2 * k - 2 * j - 1)
-                s += -term if j % 2 == 0 else term
-            c.append(s if k % 2 == 1 else -s)
+        with self._lock:
+            c = self._coeffs
+            if new_max_k <= len(c):
+                return
+            scale = lcm(*range(1, 2 * new_max_k + 2))  # L
+            # signed[m-1] = (-1)^(m-1) * E_m, so the row sums need no signs
+            signed = []
+            fact = 1  # (2m)!
+            for m, q in enumerate(c, start=1):
+                fact *= (2 * m - 1) * (2 * m)
+                multiple, rem = divmod(scale * fact, q.denominator)
+                if rem:
+                    raise ArithmeticError(f"c_{m} is not a zeta coefficient")
+                e_m = q.numerator * multiple
+                signed.append(e_m if m % 2 else -e_m)
+            for k in range(len(c) + 1, new_max_k + 1):
+                n = 2 * k + 1
+                binom = 1  # C(n, 2m), advanced two places per term
+                s = 0
+                for m, e_m in enumerate(signed, start=1):
+                    binom = binom * (n - 2 * m + 2) * (n - 2 * m + 1)
+                    binom //= (2 * m - 1) * (2 * m)
+                    s += binom * e_m
+                e_k, rem = divmod(k * scale - s, n)
+                if rem:
+                    raise ArithmeticError(f"E_{k} is not an integer")
+                signed.append(e_k)
+                fact *= (2 * k - 1) * (2 * k)
+                c.append(Fraction(e_k if k % 2 else -e_k, scale * fact))
 
     def coeff(self, k: int) -> Fraction:
         """Return c_k, growing the table if k exceeds max_k."""
@@ -72,7 +107,7 @@ class ZetaCoeffTable:
     def rows(self) -> list[dict[str, object]]:
         """Export rows {"k": int, "num": str, "den": str} in ascending k."""
         return [
-            {"k": k, "num": str(c.numerator), "den": str(c.denominator)}
+            {"k": k, "num": _int_str(c.numerator), "den": _int_str(c.denominator)}
             for k, c in enumerate(self._coeffs, start=1)
         ]
 

@@ -163,3 +163,36 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert run(capsys, ["coeff", "-k", "2", "--bogus"])[0] == 2
+
+
+def test_eval_beyond_the_int_to_str_limit(capsys):
+    from decimal import Decimal
+
+    from mpmath import mp
+
+    digits = 4400
+    code, out, _ = run(capsys, ["eval", "-k", "2", "-d", str(digits)])
+    assert code == 0
+    whole, frac = out.strip().split(".")
+    assert whole == "1" and len(frac) == digits
+    got = int(Decimal(whole + frac))
+    with mp.workdps(digits + 30):
+        want = int(mp.nint(mp.mpf(1) / 90 * mp.pi**4 * mp.mpf(10) ** digits))
+    assert abs(got - want) <= 1
+
+
+def test_coeff_beyond_the_int_to_str_limit(capsys):
+    # the denominator of c_900 has 4566 digits; BernoulliTable(1800) takes
+    # tens of seconds, so the Bernoulli route uses mpmath's exact B_1800
+    from decimal import Decimal
+    from math import factorial
+
+    from mpmath import bernfrac
+
+    code, out, _ = run(capsys, ["coeff", "-k", "900"])
+    assert code == 0
+    num, den = out.strip().split("/")
+    assert len(den) == 4566
+    got = Fraction(int(Decimal(num)), int(Decimal(den)))
+    b_num, b_den = (int(x) for x in bernfrac(1800))
+    assert got == -Fraction(b_num, b_den) * Fraction(2**1799, factorial(1800))

@@ -88,3 +88,27 @@ def test_rational_arithmetic_field_axioms_randomized():
         if b != 0:
             assert (a / b) * b == a
         assert a ** 3 == a * a * a
+
+
+def test_int_str_beyond_the_int_to_str_limit():
+    from decimal import Decimal
+
+    from zeta2k.exact import _int_str
+
+    rng = random.Random(4301)
+    values = [0, 7, -7, 10**5000, 10**5000 - 1, -(10**4301)]
+    values += [rng.getrandbits(rng.randint(14000, 40000)) for _ in range(20)]
+    values += [-rng.getrandbits(20000) for _ in range(5)]
+    for n in values:
+        text = _int_str(n)
+        assert text == str(Decimal(n))
+        assert int(Decimal(text)) == n
+
+
+def test_format_rational_beyond_the_int_to_str_limit():
+    from decimal import Decimal
+
+    q = Fraction(-(3**9500), 2**15001)
+    num, den = format_rational(q).split("/")
+    assert len(num) > 4300 and len(den) > 4300
+    assert (num, den) == (str(Decimal(q.numerator)), str(Decimal(q.denominator)))

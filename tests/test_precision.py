@@ -256,3 +256,14 @@ def test_format_real_scientific_carry():
     with mp.workdps(30):
         # rounds up to the next decade: mantissa must not print as 10.x
         assert format_real(HighPrecReal(2, mp.mpf("0.00009999"))) == "1.00e-04"
+
+
+def test_pi_digits_and_scientific_format_beyond_the_int_to_str_limit():
+    from zeta2k.precision import pi_digits
+
+    long = pi_digits(4400)
+    assert len(long) == 4402 and long.startswith(pi_digits(4300))
+    with mp.workdps(4450):
+        tiny = HighPrecReal(digits=4400, value=mp.mpf(3) / 2 * mp.mpf(10) ** -7)
+    text = format_real(tiny)
+    assert text == "1.5" + "0" * 4399 + "e-07"

@@ -88,3 +88,58 @@ def test_json_round_trips():
 def test_csv_layout():
     text = ZetaCoeffTable(2).to_csv()
     assert text == "k,num,den\n1,1,6\n2,1,90\n"
+
+
+def test_growing_one_entry_at_a_time_matches_fresh_table():
+    table = ZetaCoeffTable(1)
+    for k in range(2, 201):
+        table.extend(k)
+    assert table.coeffs == ZetaCoeffTable(200).coeffs
+
+
+def test_growing_in_uneven_steps_matches_fresh_table():
+    # L = lcm(1..2K+1) changes at every step, so existing entries are
+    # rescaled each time the table grows
+    table = ZetaCoeffTable(5)
+    for step in (17, 64, 150, 200):
+        table.extend(step)
+    assert table.coeffs == ZetaCoeffTable(200).coeffs
+
+
+def test_extending_a_table_of_non_coefficients_raises():
+    table = ZetaCoeffTable(5)
+    table._coeffs[2] += Fraction(1, 10**6)
+    with pytest.raises(ArithmeticError):
+        table.extend(12)
+
+
+def test_shared_table_grows_safely_under_concurrent_readers():
+    import random
+    import sys
+    import threading
+
+    expected = ZetaCoeffTable(80).coeffs
+    table = ZetaCoeffTable(1)
+    start = threading.Barrier(4)
+    wrong = []
+
+    def reader(seed):
+        ks = random.Random(seed).sample(range(1, 81), 30)
+        start.wait(timeout=10)
+        for k in ks:
+            if table.coeff(k) != expected[k - 1]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert table.coeffs == expected
