@@ -15,14 +15,7 @@ from .bench import (
     bench_compare,
 )
 from .bernoulli import BernoulliTable, zeta_coeff_via_bernoulli
-from .exact import (
-    Rational,
-    binomial,
-    factorial,
-    format_rational,
-    parse_rational,
-    rational,
-)
+from .exact import format_rational
 from .fourier import (
     CosineCoeff,
     CosineTerm,
@@ -55,12 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Rational",
-    "rational",
-    "binomial",
-    "factorial",
     "format_rational",
-    "parse_rational",
     "ZetaCoeffTable",
     "consistency_residual",
     "BernoulliTable",

@@ -8,22 +8,17 @@ across backends aborts instead of emitting timings.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from statistics import median
 
 from .bernoulli import BernoulliTable, zeta_coeff_via_bernoulli
-from .exact import _int_str, format_rational
+from .exact import _int_str, _table_text, format_rational
 from .recursive import ZetaCoeffTable
 
 __all__ = ["BenchRow", "BenchReport", "BackendMismatchError", "bench_compare", "DEFAULT_SWEEP"]
 
 DEFAULT_SWEEP = (10, 50, 100, 200, 400)
-
-_CSV_HEADER = ["k", "backend", "wall_time_ns", "coeff_digits", "reps"]
 
 
 class BackendMismatchError(Exception):
@@ -46,14 +41,8 @@ class BenchRow:
     coeff_digits: int
     reps: int
 
-    def as_dict(self):
-        return {
-            "k": self.k,
-            "backend": self.backend,
-            "wall_time_ns": self.wall_time_ns,
-            "coeff_digits": self.coeff_digits,
-            "reps": self.reps,
-        }
+
+_BENCH_HEADER = tuple(f.name for f in fields(BenchRow))
 
 
 @dataclass(frozen=True)
@@ -61,17 +50,10 @@ class BenchReport:
     rows: tuple[BenchRow, ...]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for row in self.rows:
-            writer.writerow(
-                [row.k, row.backend, row.wall_time_ns, row.coeff_digits, row.reps]
-            )
-        return buf.getvalue()
+        return _table_text(_BENCH_HEADER, [asdict(row) for row in self.rows], "csv")
 
     def to_json(self) -> str:
-        return json.dumps([row.as_dict() for row in self.rows])
+        return _table_text(_BENCH_HEADER, [asdict(row) for row in self.rows], "json")
 
 
 def _timed_recursive(k: int):

@@ -16,15 +16,14 @@ baseline the recursion is measured against in :mod:`zeta2k.bench`.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import _int_str
+from .exact import _num_den_row, _table_text
 
 __all__ = ["BernoulliTable", "zeta_coeff_via_bernoulli"]
+
+_BERNOULLI_HEADER = ("m", "num", "den")
 
 
 class BernoulliTable:
@@ -61,21 +60,13 @@ class BernoulliTable:
 
     def rows(self) -> list[dict[str, object]]:
         """Export rows {"m": int, "num": str, "den": str} in ascending m."""
-        return [
-            {"m": m, "num": _int_str(b.numerator), "den": _int_str(b.denominator)}
-            for m, b in enumerate(self._values)
-        ]
+        return [_num_den_row("m", m, b) for m, b in enumerate(self._values)]
 
     def to_json(self) -> str:
-        return json.dumps(self.rows())
+        return _table_text(_BERNOULLI_HEADER, self.rows(), "json")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["m", "num", "den"])
-        for row in self.rows():
-            writer.writerow([row["m"], row["num"], row["den"]])
-        return buf.getvalue()
+        return _table_text(_BERNOULLI_HEADER, self.rows(), "csv")
 
 
 def zeta_coeff_via_bernoulli(k: int, table: BernoulliTable) -> Fraction:

@@ -9,20 +9,20 @@ validated before any computation starts; output goes to stdout unless
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
+import stat
 import sys
 import tempfile
+from dataclasses import asdict
 from fractions import Fraction
 from math import prod
 
 from mpmath import mp
 
-from .bench import DEFAULT_SWEEP, BackendMismatchError, bench_compare
-from .bernoulli import BernoulliTable, zeta_coeff_via_bernoulli
-from .exact import _int_str, format_rational
+from .bench import _BENCH_HEADER, DEFAULT_SWEEP, BackendMismatchError, bench_compare
+from .bernoulli import _BERNOULLI_HEADER, BernoulliTable, zeta_coeff_via_bernoulli
+from .exact import _num_den_row, _table_text, format_rational
 from .fourier import (
     b_factor,
     b_product_closed,
@@ -31,29 +31,27 @@ from .fourier import (
     cosine_coeff_recursive,
 )
 from .precision import PrecisionConfig, format_real, zeta_eval
-from .recursive import ZetaCoeffTable, consistency_residual
+from .recursive import _COEFF_HEADER, ZetaCoeffTable, consistency_residual
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+_positive_int = _int_at_least(1)
 
 
 def _k_list(text: str) -> tuple[int, ...]:
@@ -101,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = with_output(sub.add_parser("bernoulli", help="export B_0..B_M"))
-    p.add_argument("--max-index", type=_nonnegative_int, required=True, metavar="M")
+    p.add_argument("--max-index", type=_int_at_least(0), required=True, metavar="M")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_bernoulli)
 
@@ -139,12 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_coeff(args) -> tuple[str, int]:
     c = ZetaCoeffTable(args.k).coeff(args.k)
     if args.format == "json":
-        return (
-            json.dumps(
-                {"k": args.k, "num": _int_str(c.numerator), "den": _int_str(c.denominator)}
-            ),
-            0,
-        )
+        return json.dumps(_num_den_row("k", args.k, c)), 0
     return format_rational(c), 0
 
 
@@ -193,13 +186,13 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_table(args) -> tuple[str, int]:
-    table = ZetaCoeffTable(args.max_k)
-    return (table.to_csv() if args.format == "csv" else table.to_json()), 0
+    rows = ZetaCoeffTable(args.max_k).rows()
+    return _table_text(_COEFF_HEADER, rows, args.format), 0
 
 
 def _cmd_bernoulli(args) -> tuple[str, int]:
-    table = BernoulliTable(args.max_index)
-    return (table.to_csv() if args.format == "csv" else table.to_json()), 0
+    rows = BernoulliTable(args.max_index).rows()
+    return _table_text(_BERNOULLI_HEADER, rows, args.format), 0
 
 
 def _poly_value(poly: dict[int, Fraction]):
@@ -210,9 +203,7 @@ def _poly_value(poly: dict[int, Fraction]):
 
 
 def _cmd_fourier(args) -> tuple[str, int]:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "n", "source", "value"])
+    rows = []
     for k in range(1, args.k + 1):
         closed = cosine_coeff_closed(k)
         for n in range(1, args.n + 1):
@@ -227,13 +218,14 @@ def _cmd_fourier(args) -> tuple[str, int]:
                 ("recursive", recursive_value),
                 ("quadrature", quadrature_value),
             ):
-                writer.writerow([k, n, source, mp.nstr(value, 17, strip_zeros=False)])
-    return buf.getvalue(), 0
+                value = mp.nstr(value, 17, strip_zeros=False)
+                rows.append({"k": k, "n": n, "source": source, "value": value})
+    return _table_text(("k", "n", "source", "value"), rows, "csv"), 0
 
 
 def _cmd_bench(args) -> tuple[str, int]:
-    report = bench_compare(args.k_list, args.reps)
-    return (report.to_csv() if args.format == "csv" else report.to_json()), 0
+    rows = [asdict(row) for row in bench_compare(args.k_list, args.reps).rows]
+    return _table_text(_BENCH_HEADER, rows, args.format), 0
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +233,18 @@ def _cmd_bench(args) -> tuple[str, int]:
 
 def _write_atomic(path: str, text: str) -> None:
     target = os.path.abspath(path)
+    # mkstemp creates the file 0600; give it the mode open(path, "w") would
+    try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".zeta2k-")
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
+        os.chmod(tmp, mode)
         os.replace(tmp, target)
     except BaseException:
         try:

@@ -26,16 +26,15 @@ by :mod:`zeta2k.precision`).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import threading
 from fractions import Fraction
 from math import factorial, lcm
 
-from .exact import _int_str
+from .exact import _num_den_row, _table_text
 
 __all__ = ["ZetaCoeffTable", "consistency_residual"]
+
+_COEFF_HEADER = ("k", "num", "den")
 
 
 class ZetaCoeffTable:
@@ -106,21 +105,13 @@ class ZetaCoeffTable:
 
     def rows(self) -> list[dict[str, object]]:
         """Export rows {"k": int, "num": str, "den": str} in ascending k."""
-        return [
-            {"k": k, "num": _int_str(c.numerator), "den": _int_str(c.denominator)}
-            for k, c in enumerate(self._coeffs, start=1)
-        ]
+        return [_num_den_row("k", k, c) for k, c in enumerate(self._coeffs, start=1)]
 
     def to_json(self) -> str:
-        return json.dumps(self.rows())
+        return _table_text(_COEFF_HEADER, self.rows(), "json")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "num", "den"])
-        for row in self.rows():
-            writer.writerow([row["k"], row["num"], row["den"]])
-        return buf.getvalue()
+        return _table_text(_COEFF_HEADER, self.rows(), "csv")
 
 
 def consistency_residual(table: ZetaCoeffTable, k: int) -> Fraction:

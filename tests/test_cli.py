@@ -89,6 +89,16 @@ def test_bernoulli_csv(capsys):
     assert out == "m,num,den\n0,1,1\n1,-1,2\n2,1,6\n"
 
 
+def test_bernoulli_max_index_zero_and_below(capsys):
+    assert run(capsys, ["bernoulli", "--max-index", "0"]) == (0, "m,num,den\n0,1,1\n", "")
+    code, out, err = run(capsys, ["bernoulli", "--max-index", "-1"])
+    assert (code, out) == (2, "")
+    assert "must be >= 0, got -1" in err
+    code, out, err = run(capsys, ["bernoulli", "--max-index", "x"])
+    assert (code, out) == (2, "")
+    assert "'x' is not an integer" in err
+
+
 def test_fourier_sweep_layout(capsys):
     code, out, _ = run(capsys, ["fourier", "-k", "2", "-n", "3"])
     assert code == 0
@@ -149,6 +159,22 @@ def test_output_writes_file_atomically(capsys, tmp_path):
     assert target.read_text() == "k,num,den\n1,1,6\n2,1,90\n"
     leftovers = [p for p in os.listdir(tmp_path) if p != "table.csv"]
     assert leftovers == []  # no temp files left behind
+
+
+def test_output_file_mode_follows_umask_like_open(capsys, tmp_path):
+    old_umask = os.umask(0o022)
+    try:
+        fresh = tmp_path / "fresh.csv"
+        assert run(capsys, ["table", "--max-k", "2", "--output", str(fresh)])[0] == 0
+        assert fresh.stat().st_mode & 0o777 == 0o644
+        existing = tmp_path / "existing.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o640)
+        assert run(capsys, ["table", "--max-k", "2", "--output", str(existing)])[0] == 0
+        assert existing.stat().st_mode & 0o777 == 0o640
+        assert existing.read_text() == "k,num,den\n1,1,6\n2,1,90\n"
+    finally:
+        os.umask(old_umask)
 
 
 def test_output_plain_value_gets_newline(capsys, tmp_path):
