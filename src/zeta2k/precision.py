@@ -4,7 +4,11 @@ Two routes to the same number:
 
 * ``zeta_eval`` multiplies an exact coefficient c_k by pi^(2k), with pi
   computed in-house (Chudnovsky binary splitting over plain integers) and
-  self-checked by recomputation at a higher guard level.
+  self-checked by a second run at a higher guard level.  The check runs
+  once per precision per process: the longest checked pi so far is kept
+  and shorter requests are sliced from it, bit-identical to a fresh run,
+  so repeated evaluations pay for the power and the rendering only.
+  ``pi_digits`` prints from the same checked source.
 * ``zeta_direct_sum`` sums the defining series sum(1/n^(2k)) and never
   touches a coefficient, pi or a Bernoulli number.  Plain truncation comes
   first: the cutoff N is the smallest integer with
@@ -23,12 +27,15 @@ Two routes to the same number:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Any
 
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_int, mpf_div, round_nearest
 
 from .exact import _int_str
 
@@ -131,27 +138,71 @@ def _pi_scaled(frac_digits: int) -> int:
     return (q * 426880 * root // t) // 10**10
 
 
-def pi_digits(frac_digits: int) -> str:
-    """pi truncated to the given number of fractional digits, as text."""
-    if frac_digits < 1:
-        raise ValueError("frac_digits must be >= 1")
-    s = _int_str(_pi_scaled(frac_digits))
-    return f"{s[0]}.{s[1:]}"
+# The largest checked pi so far: (c1, c2, floor(pi * 10**c2)), whose first
+# c1 fractional digits two Chudnovsky runs of different lengths agreed on.
+# Replaced whole, under the lock, and only by a longer one.
+_pi_cache: tuple[int, int, int] = (0, 0, 3)
+_pi_cache_lock = threading.Lock()
 
 
-def pi_value(cfg: PrecisionConfig) -> HighPrecReal:
-    """pi to digits+guard; self-checked by recomputation at digits+2*guard."""
-    d1 = cfg.digits + cfg.guard
-    d2 = cfg.digits + 2 * cfg.guard
+def _pi_checked(d1: int, d2: int) -> int:
+    """floor(pi * 10**d2), with at least its first d1 < d2 digits cross-checked.
+
+    Served by slicing the cache when it covers both lengths.  Otherwise
+    pi is computed to d1 and to d2 fractional digits, the two runs must
+    agree on the first d1, and the result replaces a shorter cache.
+    """
+    global _pi_cache
+    c1, c2, scaled = _pi_cache
+    if d1 <= c1 and d2 <= c2:
+        return scaled // 10 ** (c2 - d2)
     first = _pi_scaled(d1)
     second = _pi_scaled(d2)
     if second // 10 ** (d2 - d1) != first:
         raise RuntimeError(
             f"pi self-check failed: {d1}- and {d2}-digit runs disagree"
         )
-    with mp.workdps(d2 + 10):
-        value = mp.mpf(second) / mp.mpf(10**d2)
-    return HighPrecReal(digits=cfg.digits, value=value)
+    with _pi_cache_lock:
+        c1, c2, _ = _pi_cache
+        if (d2, d1) > (c2, c1):
+            _pi_cache = (d1, d2, second)
+    return second
+
+
+def pi_digits(frac_digits: int) -> str:
+    """pi truncated to the given number of fractional digits, as text.
+
+    Every digit is cross-checked: the text is the checked part of a run
+    15 digits longer (see ``pi_value``).
+    """
+    if frac_digits < 1:
+        raise ValueError("frac_digits must be >= 1")
+    s = _int_str(_pi_checked(frac_digits, frac_digits + 15) // 10**15)
+    return f"{s[0]}.{s[1:]}"
+
+
+def pi_value(cfg: PrecisionConfig) -> HighPrecReal:
+    """pi to digits+2*guard, its first digits+guard digits cross-checked.
+
+    The check (two Chudnovsky runs, at digits+guard and digits+2*guard,
+    must agree) runs once per precision per process: a request that the
+    longest checked pi so far covers is sliced from it, bit-identical to
+    a fresh run.  The mpf is shared between calls; mpf is immutable.
+    """
+    return HighPrecReal(
+        digits=cfg.digits,
+        value=_pi_mpf(cfg.digits + cfg.guard, cfg.digits + 2 * cfg.guard),
+    )
+
+
+@lru_cache(maxsize=16)
+def _pi_mpf(d1: int, d2: int):
+    # pi_scaled / 10**d2 rounded to nearest at d2+10 digits, without
+    # touching mpmath's global working precision (threads may share it)
+    quotient = mpf_div(
+        from_int(_pi_checked(d1, d2)), from_int(10**d2), dps_to_prec(d2 + 10), round_nearest
+    )
+    return mp.make_mpf(quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +341,65 @@ def format_real(x: HighPrecReal) -> str:
     """Fixed point with exactly x.digits fractional digits.
 
     Values with 0 < |x| < 1e-4 switch to scientific notation, keeping
-    x.digits fractional digits in the mantissa.
+    x.digits fractional digits in the mantissa.  A value that falls short
+    of 1e-4 by less than half a unit in its (digits+25)-th significant
+    digit counts as 1e-4 and stays fixed point, so a 1e-4 parsed at a
+    higher working precision prints as 0.0001.  The value is rounded
+    once, exactly, half to even: an mpf is the rational man*2^exp, so the
+    printed digits are an integer quotient and the scientific exponent is
+    found by integer comparison.
     """
     d = x.digits
-    with mp.workdps(d + 25):
-        v = mp.mpf(x.value)
-        if v and abs(v) < mp.mpf("1e-4"):
-            exp = int(mp.floor(mp.log10(abs(v))))
-            scaled = int(mp.nint(abs(v) * mp.mpf(10) ** (d - exp)))
-            if scaled >= 10 ** (d + 1):  # rounding pushed the mantissa to 10
-                exp += 1
-                scaled = int(mp.nint(abs(v) * mp.mpf(10) ** (d - exp)))
-            s = _int_str(scaled)
-            mant = f"{s[0]}.{s[1:]}" if d else s
-            sign = "-" if v < 0 else ""
-            return f"{sign}{mant}e{exp:+03d}"
-        return _fixed(v, d)
-
-
-def _fixed(v, d: int) -> str:
-    sign = "-" if v < 0 else ""
-    scaled = int(mp.nint(abs(v) * mp.mpf(10) ** d))
-    s = _int_str(scaled).rjust(d + 1, "0")
+    negative, num, den = _exact_parts(x.value)
+    sign = "-" if negative else ""
+    # bit lengths at least 12 apart downwards put |x| above 2^-13 > 1e-4,
+    # so only values near the threshold pay for the exact comparison
+    if num and (
+        num.bit_length() - den.bit_length() < -12
+        and 2 * num * 10 ** (d + 29) < (2 * 10 ** (d + 25) - 1) * den
+    ):
+        # 10**exp <= |x| < 10**(exp+1); exp <= -5 here, and the bit
+        # lengths put the seed within a step or two of it
+        exp = min(-5, int((num.bit_length() - den.bit_length()) * 0.30103))
+        while num * 10**-exp < den:
+            exp -= 1
+        while num * 10 ** (-exp - 1) >= den:
+            exp += 1
+        scaled = _round_half_even(num * 10 ** (d - exp), den)
+        if scaled == 10 ** (d + 1):  # rounding pushed the mantissa to 10
+            exp += 1
+            scaled //= 10
+        s = _int_str(scaled)
+        mant = f"{s[0]}.{s[1:]}" if d else s
+        return f"{sign}{mant}e{exp:+03d}"
+    s = _int_str(_round_half_even(num * 10**d, den)).rjust(d + 1, "0")
     return f"{sign}{s[:-d]}.{s[-d:]}" if d else f"{sign}{s}"
+
+
+def _exact_parts(value) -> tuple[bool, int, int]:
+    """(is negative, numerator, denominator) of |value|, exactly."""
+    parts = getattr(value, "_mpf_", None)
+    if parts is None:  # int, float or str, as mp.mpf would take
+        q = Fraction(value)
+        return q < 0, abs(q.numerator), q.denominator
+    sign, man, exp, _ = parts
+    if not man and exp:  # inf and nan carry a zero mantissa
+        raise ValueError(f"cannot format the non-finite value {value}")
+    man = int(man)
+    if exp >= 0:
+        return bool(sign), man << exp, 1
+    return bool(sign), man, 1 << -exp
+
+
+def _round_half_even(num: int, den: int) -> int:
+    if den & (den - 1):
+        q, r = divmod(num, den)
+        return q + bool(2 * r > den or (2 * r == den and q & 1))
+    # den = 2^shift, the mpf case: shifts and a mask, no long division
+    shift = den.bit_length() - 1
+    if not shift:
+        return num
+    halves = num >> (shift - 1)  # floor(2 * num / den)
+    q = halves >> 1
+    sticky = num & ((1 << (shift - 1)) - 1)
+    return q + bool(halves & 1 and (sticky or q & 1))

@@ -1,9 +1,12 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+import zeta2k.precision as precision
 from zeta2k.precision import (
     HighPrecReal,
     InfeasiblePrecisionError,
@@ -16,7 +19,7 @@ from zeta2k.precision import (
     zeta_direct_sum,
     zeta_eval,
 )
-from zeta2k.precision import _enclosure_terms, _tail_bracket
+from zeta2k.precision import _enclosure_terms, _pi_scaled, _tail_bracket
 from zeta2k.recursive import ZetaCoeffTable
 
 # 50 fractional digits, truncated (digit 51 is a 5, so no carry ambiguity)
@@ -267,3 +270,122 @@ def test_pi_digits_and_scientific_format_beyond_the_int_to_str_limit():
         tiny = HighPrecReal(digits=4400, value=mp.mpf(3) / 2 * mp.mpf(10) ** -7)
     text = format_real(tiny)
     assert text == "1.5" + "0" * 4399 + "e-07"
+
+
+# --- the checked pi cache ----------------------------------------------------
+
+def _fresh_pi(cfg):
+    """The uncached pi_value: one run at digits+2*guard, divided at +10 digits."""
+    d2 = cfg.digits + 2 * cfg.guard
+    with mp.workdps(d2 + 10):
+        return (mp.mpf(_pi_scaled(d2)) / mp.mpf(10**d2))._mpf_
+
+
+@pytest.fixture
+def cold_pi_cache():
+    """A cold pi cache for the test; the process-wide one is put back after."""
+    saved = precision._pi_cache
+    precision._pi_cache = (0, 0, 3)
+    precision._pi_mpf.cache_clear()
+    yield
+    precision._pi_cache = saved
+    precision._pi_mpf.cache_clear()
+
+
+@pytest.fixture
+def chudnovsky_runs(monkeypatch, cold_pi_cache):
+    """The fractional-digit lengths of every Chudnovsky run, in call order."""
+    runs = []
+
+    def counted(frac_digits):
+        runs.append(frac_digits)
+        return _pi_scaled(frac_digits)
+
+    monkeypatch.setattr(precision, "_pi_scaled", counted)
+    return runs
+
+
+@pytest.mark.parametrize("corrupt", ["short run", "long run"])
+def test_pi_self_check_failure_raises(monkeypatch, cold_pi_cache, corrupt):
+    cfg = PrecisionConfig(digits=40)
+    d1, d2 = 55, 70
+
+    def corrupted(frac_digits):
+        if corrupt == "short run" and frac_digits == d1:
+            return _pi_scaled(frac_digits) + 1  # last digit of the short run
+        if corrupt == "long run" and frac_digits == d2:
+            return _pi_scaled(frac_digits) + 10 ** (d2 - d1)  # digit d1 of the long run
+        return _pi_scaled(frac_digits)
+
+    monkeypatch.setattr(precision, "_pi_scaled", corrupted)
+    with pytest.raises(RuntimeError, match="self-check failed"):
+        pi_value(cfg)
+    with pytest.raises(RuntimeError, match="self-check failed"):
+        pi_digits(d1)  # the same pair of runs: 55 and 55+15
+    # a failed check caches nothing
+    assert precision._pi_cache == (0, 0, 3)
+    monkeypatch.setattr(precision, "_pi_scaled", _pi_scaled)
+    assert pi_value(cfg).value._mpf_ == _fresh_pi(cfg)
+
+
+def test_pi_cache_slices_smaller_requests(chudnovsky_runs):
+    pi_value(PrecisionConfig(digits=400))
+    assert chudnovsky_runs == [415, 430]
+    chudnovsky_runs.clear()
+    for digits in (385, 50, 1, 100):
+        cfg = PrecisionConfig(digits=digits)
+        assert pi_value(cfg).value._mpf_ == _fresh_pi(cfg), digits
+    assert pi_digits(415) == f"3.{str(_pi_scaled(415))[1:]}"
+    assert chudnovsky_runs == []
+
+
+def test_pi_cache_larger_request_reruns_both_lengths(chudnovsky_runs):
+    pi_value(PrecisionConfig(digits=100))
+    pi_value(PrecisionConfig(digits=300))
+    assert chudnovsky_runs == [115, 130, 315, 330]
+    assert precision._pi_cache[:2] == (315, 330)
+    chudnovsky_runs.clear()
+    pi_value(PrecisionConfig(digits=100))
+    pi_digits(316)  # needs 316 checked digits, the cache has 315
+    assert chudnovsky_runs == [316, 331]
+    assert precision._pi_cache[:2] == (316, 331)
+
+
+def test_pi_cache_serves_only_checked_digits(chudnovsky_runs):
+    """Digits the cache holds but no second run confirmed are not served."""
+    pi_value(PrecisionConfig(digits=100, guard=100))  # checked 200, holds 300
+    cfg = PrecisionConfig(digits=250)  # wants 265 checked of 280
+    assert pi_value(cfg).value._mpf_ == _fresh_pi(cfg)
+    assert chudnovsky_runs == [200, 300, 265, 280]
+    assert precision._pi_cache[:2] == (200, 300)  # not replaced by a shorter one
+
+
+def test_pi_cache_threads_get_cold_identical_values(cold_pi_cache):
+    levels = [3500, 30, 5200, 100, 4299, 700, 50, 4300]
+    expected = {d: _fresh_pi(PrecisionConfig(digits=d)) for d in levels}
+    results: list[list[tuple[int, tuple]]] = [[] for _ in range(4)]
+
+    def worker(i):
+        order = levels[2 * i:] + levels[: 2 * i]
+        for _ in range(3):
+            for d in order:
+                results[i].append((d, pi_value(PrecisionConfig(digits=d)).value._mpf_))
+            precision._pi_mpf.cache_clear()  # make later rounds reach the cache
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == 3 * len(levels)
+        for d, value in got:
+            assert value == expected[d], d
+    # no lost update: the longest request ever checked is the one cached
+    assert precision._pi_cache[:2] == (5215, 5230)
