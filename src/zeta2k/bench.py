@@ -56,15 +56,16 @@ class BenchReport:
         return _table_text(_BENCH_HEADER, [asdict(row) for row in self.rows], "json")
 
 
-def _timed_recursive(k: int):
-    t0 = time.perf_counter_ns()
-    value = ZetaCoeffTable(k).coeff(k)
-    return value, time.perf_counter_ns() - t0
+# (backend name, cold build of c_k), run and reported in this order
+_BACKENDS = (
+    ("recursive", lambda k: ZetaCoeffTable(k).coeff(k)),
+    ("bernoulli", lambda k: zeta_coeff_via_bernoulli(k, BernoulliTable(2 * k))),
+)
 
 
-def _timed_bernoulli(k: int):
+def _timed(build, k: int):
     t0 = time.perf_counter_ns()
-    value = zeta_coeff_via_bernoulli(k, BernoulliTable(2 * k))
+    value = build(k)
     return value, time.perf_counter_ns() - t0
 
 
@@ -86,29 +87,21 @@ def bench_compare(k_values, reps: int = 3) -> BenchReport:
 
     rows = []
     for k in k_values:
-        recursive_runs = [_timed_recursive(k) for _ in range(reps)]
-        bernoulli_runs = [_timed_bernoulli(k) for _ in range(reps)]
-        reference = recursive_runs[0][0]
-        for value, _ in recursive_runs + bernoulli_runs:
-            if value != reference:
-                raise BackendMismatchError(k, reference, value)
+        runs = {name: [_timed(build, k) for _ in range(reps)] for name, build in _BACKENDS}
+        reference = runs["recursive"][0][0]
+        for backend_runs in runs.values():
+            for value, _ in backend_runs:
+                if value != reference:
+                    raise BackendMismatchError(k, reference, value)
         digits = len(_int_str(reference.numerator)) + len(_int_str(reference.denominator))
-        rows.append(
+        rows.extend(
             BenchRow(
                 k=k,
-                backend="recursive",
-                wall_time_ns=int(median(t for _, t in recursive_runs)),
+                backend=name,
+                wall_time_ns=int(median(t for _, t in backend_runs)),
                 coeff_digits=digits,
                 reps=reps,
             )
-        )
-        rows.append(
-            BenchRow(
-                k=k,
-                backend="bernoulli",
-                wall_time_ns=int(median(t for _, t in bernoulli_runs)),
-                coeff_digits=digits,
-                reps=reps,
-            )
+            for name, backend_runs in runs.items()
         )
     return BenchReport(rows=tuple(rows))

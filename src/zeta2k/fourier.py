@@ -37,6 +37,8 @@ from math import factorial
 
 import numpy as np
 from mpmath import mp
+from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.libmp import dps_to_prec
 
 from .exact import _int_str
 from .precision import HighPrecReal
@@ -173,40 +175,8 @@ def b_product_closed(k: int, j: int, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # numerical oracle
 
-_GAUSS_ORDER = 24
-_node_cache: dict[tuple[int, int], tuple] = {}
-
-
-def _legendre_nodes(order: int, dps: int):
-    """Gauss-Legendre nodes/weights on [-1, 1] at the given precision.
-
-    Newton refinement of the float-precision Chebyshev seeds; cached per
-    (order, dps) since node computation dwarfs a single panel pass.
-    """
-    key = (order, dps)
-    cached = _node_cache.get(key)
-    if cached is not None:
-        return cached
-    nodes = []
-    with mp.workdps(dps + 10):
-        stop = mp.mpf(10) ** (-(dps + 5))
-        for i in range(1, order + 1):
-            x = mp.mpf(math.cos(math.pi * (i - 0.25) / (order + 0.5)))
-            dp = mp.mpf(1)
-            for _ in range(100):
-                p0, p1 = mp.mpf(1), x
-                for m in range(2, order + 1):
-                    p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < stop:
-                    break
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append((x, w))
-    result = tuple(nodes)
-    _node_cache[key] = result
-    return result
+# mpmath's rule caches its nodes per precision
+_GAUSS_LEGENDRE = GaussLegendre(mp)
 
 
 def _quad_dps(k: int, tol: float) -> int:
@@ -222,11 +192,11 @@ def cosine_coeff_quadrature(
 ) -> HighPrecReal:
     """(2/pi) * integral of (x-pi)^(2k) cos(nx) over [0, pi], adaptively.
 
-    Composite Gauss-Legendre panels, doubling the panel count until two
-    successive estimates differ by less than tol/2.  Runs in software
-    arbitrary precision so tol is honored even where the coefficient
-    magnitude exceeds float range.  Summation order is fixed, so results
-    are reproducible run to run.
+    Composite 24-point Gauss-Legendre panels, doubling the panel count
+    until two successive estimates differ by less than tol/2.  Runs in
+    software arbitrary precision so tol is honored even where the
+    coefficient magnitude exceeds float range.  Summation order is fixed,
+    so results are reproducible run to run.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -235,7 +205,12 @@ def cosine_coeff_quadrature(
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     dps = _quad_dps(k, tol)
-    nodes = _legendre_nodes(_GAUSS_ORDER, dps)
+    # degree 4 is 3 * 2**3 = 24 nodes on [-1, 1], built 10 digits past dps.
+    # mpmath lists them in +-x pairs; they are summed from x = 1 down, and
+    # that order fixes the last bits of every estimate.
+    nodes = sorted(
+        _GAUSS_LEGENDRE.get_nodes(-1, 1, 4, dps_to_prec(dps + 10)), reverse=True
+    )
     digits = max(1, -math.floor(math.log10(tol)))
     with mp.workdps(dps):
         pi = +mp.pi

@@ -35,7 +35,7 @@ from math import isqrt
 from typing import Any
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_int, mpf_div, round_nearest
+from mpmath.libmp import dps_to_prec, from_int, mpf_div, mpf_mul, mpf_pow_int, round_nearest
 
 from .exact import _int_str
 
@@ -197,12 +197,17 @@ def pi_value(cfg: PrecisionConfig) -> HighPrecReal:
 
 @lru_cache(maxsize=16)
 def _pi_mpf(d1: int, d2: int):
-    # pi_scaled / 10**d2 rounded to nearest at d2+10 digits, without
-    # touching mpmath's global working precision (threads may share it)
-    quotient = mpf_div(
-        from_int(_pi_checked(d1, d2)), from_int(10**d2), dps_to_prec(d2 + 10), round_nearest
-    )
-    return mp.make_mpf(quotient)
+    # pi_scaled / 10**d2 at d2+10 digits; both ints fit that exactly
+    return mp.make_mpf(_quotient(_pi_checked(d1, d2), 10**d2, dps_to_prec(d2 + 10)))
+
+
+def _quotient(num: int, den: int, prec: int) -> tuple:
+    """Raw mpf of mp.mpf(num) / den with mp.prec = prec, rounding to nearest.
+
+    The precision is explicit, so mpmath's process-wide one, which other
+    threads may be changing, plays no part.
+    """
+    return mpf_div(from_int(num, prec, round_nearest), from_int(den), prec, round_nearest)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +224,10 @@ def zeta_eval(k: int, cfg: PrecisionConfig, c_k: Fraction) -> HighPrecReal:
     pi = pi_value(cfg)
     # a small buffer past digits+guard so the guard digits are themselves
     # clean; the power loses only ~log10(2k) digits
-    with mp.workdps(cfg.digits + cfg.guard + 10):
-        value = mp.mpf(c_k.numerator) / c_k.denominator * pi.value ** (2 * k)
-    return HighPrecReal(digits=cfg.digits, value=value)
+    prec = dps_to_prec(cfg.digits + cfg.guard + 10)
+    power = mpf_pow_int(pi.value._mpf_, 2 * k, prec, round_nearest)
+    value = mpf_mul(_quotient(c_k.numerator, c_k.denominator, prec), power, prec, round_nearest)
+    return HighPrecReal(digits=cfg.digits, value=mp.make_mpf(value))
 
 
 def direct_sum_terms(k: int, cfg: PrecisionConfig) -> int:
@@ -328,9 +334,8 @@ def zeta_direct_sum(k: int, cfg: PrecisionConfig) -> HighPrecReal:
     e = 2 * k
     total = sum(scale // n**e for n in range(1, n_terms + 1))
     total += tail.numerator * scale // tail.denominator
-    with mp.workdps(p + 10):
-        value = mp.mpf(total) / scale
-    return HighPrecReal(digits=cfg.digits, value=value)
+    value = _quotient(total, scale, dps_to_prec(p + 10))
+    return HighPrecReal(digits=cfg.digits, value=mp.make_mpf(value))
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,21 @@ def test_quadrature_agrees_with_closed_form_randomized():
         assert abs(got - exact) <= 1e-10 * max(1, abs(exact)), (k, n)
 
 
+@pytest.mark.parametrize("k,n", [(1, 1), (3, 5), (6, 8), (12, 3)])
+def test_quadrature_at_high_precision(k, n):
+    """At tol 1e-40 the nodes themselves must be good far past float width."""
+    import mpmath
+
+    with mpmath.mp.workdps(120):
+        exact = sum(
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.pi**p
+            for p, c in cosine_coeff_closed(k).substitute(n).items()
+        )
+        # 8 panels at most (3 doublings) suffice; a bad node set fails fast
+        got = cosine_coeff_quadrature(k, n, 1e-40, max_doublings=6).value
+        assert abs(got - exact) < mpmath.mpf(10) ** -40 * abs(exact), (k, n)
+
+
 def test_quadrature_budget_exhaustion_carries_best_estimate():
     with pytest.raises(QuadratureError) as info:
         cosine_coeff_quadrature(3, 5, 1e-60, max_doublings=2)

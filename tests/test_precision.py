@@ -389,3 +389,72 @@ def test_pi_cache_threads_get_cold_identical_values(cold_pi_cache):
             assert value == expected[d], d
     # no lost update: the longest request ever checked is the one cached
     assert precision._pi_cache[:2] == (5215, 5230)
+
+
+def _eval_with_mp_context(k, cfg, c_k):
+    """zeta_eval's value as mpmath's own operators give it at its precision."""
+    pi = pi_value(cfg).value
+    with mp.workdps(cfg.digits + cfg.guard + 10):
+        return (mp.mpf(c_k.numerator) / c_k.denominator * pi ** (2 * k))._mpf_
+
+
+def test_eval_and_direct_sum_ignore_the_global_precision():
+    """Values do not depend on mp.prec, even when it changes mid-call.
+
+    The profile hook sets mpmath's process-wide precision to 53 bits on
+    every function call and return, as another thread might.
+    """
+    table = ZetaCoeffTable(30)
+    cases = [(k, PrecisionConfig(digits=d)) for k, d in ((7, 100), (30, 10), (2, 999))]
+    expected = [zeta_eval(k, cfg, table.coeff(k)).value._mpf_ for k, cfg in cases]
+    for (k, cfg), value in zip(cases, expected):
+        assert value == _eval_with_mp_context(k, cfg, table.coeff(k)), k
+    sum_cfg = PrecisionConfig(digits=40)
+    expected_sum = zeta_direct_sum(10, sum_cfg).value._mpf_
+    prec = mp.prec
+    sys.setprofile(lambda *args: setattr(mp, "prec", 53))
+    try:
+        got = [zeta_eval(k, cfg, table.coeff(k)).value._mpf_ for k, cfg in cases]
+        got_sum = zeta_direct_sum(10, sum_cfg).value._mpf_
+    finally:
+        sys.setprofile(None)
+        mp.prec = prec
+    assert got == expected
+    assert got_sum == expected_sum
+
+
+def test_eval_and_direct_sum_threads_at_mixed_precision():
+    table = ZetaCoeffTable(10)
+    levels = [3000, 30, 2000, 100, 1500, 60]
+    sum_levels = [20, 60, 40]
+    expected = {d: zeta_eval(7, PrecisionConfig(digits=d), table.coeff(7)).value._mpf_
+                for d in levels}
+    expected_sum = {d: zeta_direct_sum(10, PrecisionConfig(digits=d)).value._mpf_
+                    for d in sum_levels}
+    results: list[list[tuple[str, int, tuple]]] = [[] for _ in range(4)]
+
+    def worker(i):
+        order = levels[i:] + levels[:i]
+        for _ in range(5):
+            for j, d in enumerate(order):
+                value = zeta_eval(7, PrecisionConfig(digits=d), table.coeff(7)).value
+                results[i].append(("eval", d, value._mpf_))
+                s = sum_levels[(i + j) % len(sum_levels)]
+                value = zeta_direct_sum(10, PrecisionConfig(digits=s)).value
+                results[i].append(("sum", s, value._mpf_))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == 2 * 5 * len(levels)
+        for route, d, value in got:
+            assert value == (expected if route == "eval" else expected_sum)[d], (route, d)
