@@ -18,19 +18,12 @@ from dataclasses import asdict
 from fractions import Fraction
 from math import prod
 
-from mpmath import mp
-
+# These four use the standard library only.  mpmath and numpy load inside
+# the subcommands that need them, so coeff, table, bernoulli and bench
+# start without either.
 from .bench import _BENCH_HEADER, DEFAULT_SWEEP, BackendMismatchError, bench_compare
 from .bernoulli import _BERNOULLI_HEADER, BernoulliTable, zeta_coeff_via_bernoulli
 from .exact import _num_den_row, _table_text, format_rational
-from .fourier import (
-    b_factor,
-    b_product_closed,
-    cosine_coeff_closed,
-    cosine_coeff_quadrature,
-    cosine_coeff_recursive,
-)
-from .precision import PrecisionConfig, format_real, zeta_eval
 from .recursive import _COEFF_HEADER, ZetaCoeffTable, consistency_residual
 
 __all__ = ["main", "entrypoint", "build_parser"]
@@ -142,6 +135,8 @@ def _cmd_coeff(args) -> tuple[str, int]:
 
 
 def _cmd_eval(args) -> tuple[str, int]:
+    from .precision import PrecisionConfig, format_real, zeta_eval
+
     cfg = PrecisionConfig(digits=args.digits)
     c = ZetaCoeffTable(args.k).coeff(args.k)
     return format_real(zeta_eval(args.k, cfg, c)), 0
@@ -149,6 +144,8 @@ def _cmd_eval(args) -> tuple[str, int]:
 
 def _first_verify_failure(max_k: int):
     """(k, message) for the first exact identity that fails, else None."""
+    from .fourier import b_factor, b_product_closed, cosine_coeff_closed, cosine_coeff_recursive
+
     table = ZetaCoeffTable(max_k)
     bernoulli = BernoulliTable(2 * max_k)
     for k in range(1, max_k + 1):
@@ -196,6 +193,8 @@ def _cmd_bernoulli(args) -> tuple[str, int]:
 
 
 def _poly_value(poly: dict[int, Fraction]):
+    from mpmath import mp
+
     return mp.fsum(
         mp.mpf(c.numerator) / c.denominator * mp.pi**power
         for power, c in sorted(poly.items())
@@ -203,6 +202,10 @@ def _poly_value(poly: dict[int, Fraction]):
 
 
 def _cmd_fourier(args) -> tuple[str, int]:
+    from mpmath import mp
+
+    from .fourier import cosine_coeff_closed, cosine_coeff_quadrature, cosine_coeff_recursive
+
     rows = []
     for k in range(1, args.k + 1):
         closed = cosine_coeff_closed(k)

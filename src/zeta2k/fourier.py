@@ -31,11 +31,11 @@ the test suite checks it against the literal product.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
 from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import dps_to_prec
@@ -177,6 +177,9 @@ def b_product_closed(k: int, j: int, n: int) -> Fraction:
 
 # mpmath's rule caches its nodes per precision
 _GAUSS_LEGENDRE = GaussLegendre(mp)
+# get_nodes sets mp.prec while it builds nodes and the estimates run under
+# mp.workdps; one quadrature at a time keeps each at its own precision
+_QUADRATURE_LOCK = threading.Lock()
 
 
 def _quad_dps(k: int, tol: float) -> int:
@@ -197,6 +200,12 @@ def cosine_coeff_quadrature(
     software arbitrary precision so tol is honored even where the
     coefficient magnitude exceeds float range.  Summation order is fixed,
     so results are reproducible run to run.
+
+    The work runs at mpmath's process-wide precision, so calls hold one
+    module lock and concurrent quadratures cannot see each other's
+    precision.  Another thread that sets ``mp.prec`` itself (directly or
+    through ``mp.workdps``) while a quadrature runs still changes its
+    result.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -205,14 +214,14 @@ def cosine_coeff_quadrature(
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     dps = _quad_dps(k, tol)
-    # degree 4 is 3 * 2**3 = 24 nodes on [-1, 1], built 10 digits past dps.
-    # mpmath lists them in +-x pairs; they are summed from x = 1 down, and
-    # that order fixes the last bits of every estimate.
-    nodes = sorted(
-        _GAUSS_LEGENDRE.get_nodes(-1, 1, 4, dps_to_prec(dps + 10)), reverse=True
-    )
     digits = max(1, -math.floor(math.log10(tol)))
-    with mp.workdps(dps):
+    with _QUADRATURE_LOCK, mp.workdps(dps):
+        # degree 4 is 3 * 2**3 = 24 nodes on [-1, 1], built 10 digits past dps.
+        # mpmath lists them in +-x pairs; they are summed from x = 1 down, and
+        # that order fixes the last bits of every estimate.
+        nodes = sorted(
+            _GAUSS_LEGENDRE.get_nodes(-1, 1, 4, dps_to_prec(dps + 10)), reverse=True
+        )
         pi = +mp.pi
         two_k = 2 * k
         tol_half = mp.mpf(tol) / 2
@@ -258,6 +267,8 @@ def reconstruct(k: int, x: float, n_terms: int) -> float:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     if not 0 <= x <= math.pi:
         raise ValueError(f"x must be in [0, pi], got {x}")
+    import numpy as np
+
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     amplitude = np.zeros_like(n)
     for term in cosine_coeff_closed(k).terms:

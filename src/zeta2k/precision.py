@@ -101,8 +101,8 @@ class InfeasiblePrecisionError(Exception):
         self.max_sum_terms = max_sum_terms
         self.feasible_digits = feasible_digits(k, max_sum_terms)
         super().__init__(
-            f"direct sum for k={k} at {digits} digits needs N={required_terms} "
-            f"terms by plain truncation and M={enclosure_terms} with the tail "
+            f"direct sum for k={k} at {digits} digits needs N={_int_str(required_terms)} "
+            f"terms by plain truncation and M={_int_str(enclosure_terms)} with the tail "
             f"enclosure, both over the budget of {max_sum_terms}; "
             f"largest feasible digits for plain truncation at this k: "
             f"{self.feasible_digits}"

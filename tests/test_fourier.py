@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import factorial, prod
 
@@ -178,6 +180,39 @@ def test_quadrature_budget_exhaustion_carries_best_estimate():
     )
     assert abs(float(best.value) - exact) < 1e-6
     assert info.value.tol == 1e-60
+
+
+def test_quadrature_threads_at_mixed_precision():
+    """Concurrent quadratures at different tol return their serial values."""
+    cases = [(3, 5, 1e-12), (6, 8, 1e-40), (2, 1, 1e-20), (12, 3, 1e-30)]
+    expected = {
+        case: cosine_coeff_quadrature(*case, max_doublings=8).value._mpf_ for case in cases
+    }
+    results: list[list[tuple]] = [[] for _ in range(4)]
+
+    def worker(i):
+        for case in cases[i:] + cases[:i]:
+            try:
+                value = cosine_coeff_quadrature(*case, max_doublings=8).value._mpf_
+            except QuadratureError as err:
+                value = err
+            results[i].append((case, value))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == len(cases)
+        for case, value in got:
+            assert value == expected[case], case
 
 
 def test_quadrature_validates_inputs():

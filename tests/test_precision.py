@@ -117,6 +117,17 @@ def test_direct_sum_infeasible_k1_high_digits():
     assert f"M={_enclosure_terms(1, PrecisionConfig(digits=50))}" in str(err)
 
 
+def test_direct_sum_infeasible_past_the_int_to_str_limit():
+    """N has 4301 digits at D=4298; the error still builds its message."""
+    from zeta2k.exact import _int_str
+
+    with pytest.raises(InfeasiblePrecisionError) as info:
+        zeta_direct_sum(1, PrecisionConfig(digits=4298))
+    n_digits = _int_str(info.value.required_terms)
+    assert len(n_digits) > 4300
+    assert f"N={n_digits} " in str(info.value)
+
+
 def test_tail_bracket_encloses_mp_zeta():
     """lower <= zeta(2k) - sum_{n<=M} n^(-2k) <= upper, exactly rational."""
     for k in (1, 2, 3, 7):
