@@ -14,19 +14,24 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import asdict
 from fractions import Fraction
 from math import prod
 
-# These four use the standard library only.  mpmath and numpy load inside
-# the subcommands that need them, so coeff, table, bernoulli and bench
-# start without either.
-from .bench import _BENCH_HEADER, DEFAULT_SWEEP, BackendMismatchError, bench_compare
+# These three use the standard library only, and not dataclasses.  Every
+# other module loads inside the subcommands that need it: mpmath for
+# fourier, numpy for none, and bench (dataclasses, statistics) for bench.
 from .bernoulli import _BERNOULLI_HEADER, BernoulliTable, zeta_coeff_via_bernoulli
 from .exact import _num_den_row, _table_text, format_rational
 from .recursive import _COEFF_HEADER, ZetaCoeffTable, consistency_residual
 
 __all__ = ["main", "entrypoint", "build_parser"]
+
+# bench.DEFAULT_SWEEP, which the parser cannot import without loading bench
+_DEFAULT_SWEEP = (10, 50, 100, 200, 400)
+
+
+class _StderrFailure(Exception):
+    """A subcommand failed: main prints the message to stderr and exits 1."""
 
 
 def _int_at_least(low: int):
@@ -112,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--k-list",
         type=_k_list,
-        default=DEFAULT_SWEEP,
+        default=_DEFAULT_SWEEP,
         metavar="K1,K2,...",
-        help=f"comma-separated k values (default {','.join(map(str, DEFAULT_SWEEP))})",
+        help=f"comma-separated k values (default {','.join(map(str, _DEFAULT_SWEEP))})",
     )
     p.add_argument("--reps", type=_positive_int, default=3, metavar="R")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -227,7 +232,15 @@ def _cmd_fourier(args) -> tuple[str, int]:
 
 
 def _cmd_bench(args) -> tuple[str, int]:
-    rows = [asdict(row) for row in bench_compare(args.k_list, args.reps).rows]
+    from dataclasses import asdict
+
+    from .bench import _BENCH_HEADER, BackendMismatchError, bench_compare
+
+    try:
+        report = bench_compare(args.k_list, args.reps)
+    except BackendMismatchError as exc:
+        raise _StderrFailure(f"FAIL: {exc}") from exc
+    rows = [asdict(row) for row in report.rows]
     return _table_text(_BENCH_HEADER, rows, args.format), 0
 
 
@@ -265,8 +278,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         text, code = args.func(args)
-    except BackendMismatchError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
+    except _StderrFailure as exc:
+        print(exc, file=sys.stderr)
         return 1
     if args.output:
         _write_atomic(args.output, text)

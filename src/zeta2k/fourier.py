@@ -35,13 +35,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-
-from mpmath import mp
-from mpmath.calculus.quadrature import GaussLegendre
-from mpmath.libmp import dps_to_prec
+from typing import TYPE_CHECKING
 
 from .exact import _int_str
-from .precision import HighPrecReal
+
+if TYPE_CHECKING:
+    from .precision import HighPrecReal
 
 __all__ = [
     "CosineTerm",
@@ -175,11 +174,12 @@ def b_product_closed(k: int, j: int, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # numerical oracle
 
-# mpmath's rule caches its nodes per precision
-_GAUSS_LEGENDRE = GaussLegendre(mp)
 # get_nodes sets mp.prec while it builds nodes and the estimates run under
 # mp.workdps; one quadrature at a time keeps each at its own precision
 _QUADRATURE_LOCK = threading.Lock()
+# mpmath's GaussLegendre rule, which caches its nodes per precision; built
+# under the lock by the first quadrature, so only the oracle loads mpmath
+_gauss_legendre = None
 
 
 def _quad_dps(k: int, tol: float) -> int:
@@ -213,14 +213,23 @@ def cosine_coeff_quadrature(
         raise ValueError(f"n must be >= 1, got {n}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    from mpmath import mp
+    from mpmath.calculus.quadrature import GaussLegendre
+    from mpmath.libmp import dps_to_prec
+
+    from .precision import HighPrecReal
+
+    global _gauss_legendre
     dps = _quad_dps(k, tol)
     digits = max(1, -math.floor(math.log10(tol)))
     with _QUADRATURE_LOCK, mp.workdps(dps):
+        if _gauss_legendre is None:
+            _gauss_legendre = GaussLegendre(mp)
         # degree 4 is 3 * 2**3 = 24 nodes on [-1, 1], built 10 digits past dps.
         # mpmath lists them in +-x pairs; they are summed from x = 1 down, and
         # that order fixes the last bits of every estimate.
         nodes = sorted(
-            _GAUSS_LEGENDRE.get_nodes(-1, 1, 4, dps_to_prec(dps + 10)), reverse=True
+            _gauss_legendre.get_nodes(-1, 1, 4, dps_to_prec(dps + 10)), reverse=True
         )
         pi = +mp.pi
         two_k = 2 * k

@@ -23,6 +23,10 @@ Two routes to the same number:
   Either way the result sits within 10^-(D+2) of the true value.  When
   both routes are over budget the error raised reports the largest D
   plain truncation can reach and the M the enclosure would need.
+
+Both routes round in binary floating point over plain integers, bit for
+bit as mpmath would, and return mpmath's raw float; mpmath itself is
+imported only when a result's ``value`` is first read.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import Any
-
-from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_int, mpf_div, mpf_mul, mpf_pow_int, round_nearest
 
 from .exact import _int_str
 
@@ -70,12 +71,47 @@ class PrecisionConfig:
             raise ValueError("max_sum_terms must be >= 1")
 
 
+class _LazyMpf:
+    """The ``value`` field of HighPrecReal: a raw mpf becomes an mpf when read.
+
+    A raw mpf is mpmath's ``(sign, man, exp, bc)`` tuple.  mpmath is
+    imported, and the ``mpmath.mpf`` built and kept, on the first read, so
+    the evaluation routes and ``format_real`` run without it.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("value")  # to dataclass: the field has no default
+        value = obj.__dict__["value"]
+        if type(value) is tuple:
+            from mpmath import mp
+
+            value = obj.__dict__["value"] = mp.make_mpf(value)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__["value"] = value
+
+
 @dataclass(frozen=True)
 class HighPrecReal:
-    """An arbitrary-precision value tagged with its requested digit count."""
+    """An arbitrary-precision value tagged with its requested digit count.
+
+    ``value`` reads as an ``mpmath.mpf`` carrying comfortably more than
+    ``digits`` digits.  It may be given as an mpf, as anything ``mp.mpf``
+    takes, or as a raw mpf tuple, which is how ``zeta_eval``, ``pi_value``
+    and ``zeta_direct_sum`` return it: the mpf, and the mpmath import, then
+    wait for the first read of ``value``.
+    """
 
     digits: int
-    value: Any  # mpmath.mpf carrying comfortably more than `digits` digits
+    value: Any = _LazyMpf()
+
+    @property
+    def _raw(self):
+        """The stored value, as a raw mpf tuple when it is an mpf or one."""
+        value = self.__dict__["value"]
+        return getattr(value, "_mpf_", value)
 
 
 class InfeasiblePrecisionError(Exception):
@@ -107,6 +143,86 @@ class InfeasiblePrecisionError(Exception):
             f"largest feasible digits for plain truncation at this k: "
             f"{self.feasible_digits}"
         )
+
+
+# ---------------------------------------------------------------------------
+# binary floating point over plain ints
+#
+# Values are raw mpfs (sign, man, exp, bc) = (-1)**sign * man * 2**exp,
+# with man odd (or the zero (0, 0, 0, 0)) and bc its bit length.  These
+# are mpmath.libmp's dps_to_prec, from_int, mpf_mul, mpf_div and
+# mpf_pow_int at round_nearest, bit for bit (the tests compare them), for
+# finite inputs and exponents n >= 1.
+
+
+def _dps_to_prec(dps: int) -> int:
+    return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
+
+
+def _normalize(sign: int, man: int, exp: int, prec: int) -> tuple:
+    """man * 2**exp rounded to prec bits half to even (prec 0: exact), made odd."""
+    if not man:
+        return (0, 0, 0, 0)
+    n = man.bit_length() - prec
+    if prec and n > 0:
+        t = man >> (n - 1)  # the kept bits and the first dropped one
+        up = t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1))
+        man = (t >> 1) + bool(up)
+        exp += n
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
+def _from_int(n: int, prec: int = 0) -> tuple:
+    return _normalize(int(n < 0), abs(n), 0, prec)
+
+
+def _mpf_mul(s: tuple, t: tuple, prec: int) -> tuple:
+    return _normalize(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], prec)
+
+
+def _mpf_div(s: tuple, t: tuple, prec: int) -> tuple:
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    extra = max(5, prec - sbc + tbc + 5)
+    quot, rem = divmod(sman << extra, tman)
+    if rem:  # a sticky bit below the rounding point
+        quot = (quot << 1) + 1
+        extra += 1
+    return _normalize(ssign ^ tsign, quot, sexp - texp - extra, prec)
+
+
+def _mpf_pow_int(s: tuple, n: int, prec: int) -> tuple:
+    sign, man, exp, bc = s
+    if n == 1:
+        return _normalize(sign, man, exp, prec)
+    sign &= n  # even powers are positive
+    if n == 2 or bc * n < 1000:
+        return _normalize(sign, man**n, exp * n, prec)
+    # square and multiply, truncating every product to workprec bits
+    workprec = prec + 4 * n.bit_length() + 4
+    pm, pe = 1, 0
+    while True:
+        if n & 1:
+            pm, pe = pm * man, pe + exp
+            cut = pm.bit_length() - workprec
+            if cut > 0:
+                pm, pe = pm >> cut, pe + cut
+            n -= 1
+            if not n:
+                break
+        man, exp = man * man, exp + exp
+        cut = man.bit_length() - workprec
+        if cut > 0:
+            man, exp = man >> cut, exp + cut
+        n //= 2
+    return _normalize(sign, pm, pe, prec)
+
+
+def _quotient(num: int, den: int, prec: int) -> tuple:
+    """Raw mpf of num / den at prec bits, rounding to nearest."""
+    return _mpf_div(_from_int(num, prec), _from_int(den), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +303,7 @@ def pi_value(cfg: PrecisionConfig) -> HighPrecReal:
     The check (two Chudnovsky runs, at digits+guard and digits+2*guard,
     must agree) runs once per precision per process: a request that the
     longest checked pi so far covers is sliced from it, bit-identical to
-    a fresh run.  The mpf is shared between calls; mpf is immutable.
+    a fresh run.  The raw mpf is shared between calls.
     """
     return HighPrecReal(
         digits=cfg.digits,
@@ -196,18 +312,9 @@ def pi_value(cfg: PrecisionConfig) -> HighPrecReal:
 
 
 @lru_cache(maxsize=16)
-def _pi_mpf(d1: int, d2: int):
-    # pi_scaled / 10**d2 at d2+10 digits; both ints fit that exactly
-    return mp.make_mpf(_quotient(_pi_checked(d1, d2), 10**d2, dps_to_prec(d2 + 10)))
-
-
-def _quotient(num: int, den: int, prec: int) -> tuple:
-    """Raw mpf of mp.mpf(num) / den with mp.prec = prec, rounding to nearest.
-
-    The precision is explicit, so mpmath's process-wide one, which other
-    threads may be changing, plays no part.
-    """
-    return mpf_div(from_int(num, prec, round_nearest), from_int(den), prec, round_nearest)
+def _pi_mpf(d1: int, d2: int) -> tuple:
+    # raw mpf of pi_scaled / 10**d2 at d2+10 digits; both ints fit that exactly
+    return _quotient(_pi_checked(d1, d2), 10**d2, _dps_to_prec(d2 + 10))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +331,10 @@ def zeta_eval(k: int, cfg: PrecisionConfig, c_k: Fraction) -> HighPrecReal:
     pi = pi_value(cfg)
     # a small buffer past digits+guard so the guard digits are themselves
     # clean; the power loses only ~log10(2k) digits
-    prec = dps_to_prec(cfg.digits + cfg.guard + 10)
-    power = mpf_pow_int(pi.value._mpf_, 2 * k, prec, round_nearest)
-    value = mpf_mul(_quotient(c_k.numerator, c_k.denominator, prec), power, prec, round_nearest)
-    return HighPrecReal(digits=cfg.digits, value=mp.make_mpf(value))
+    prec = _dps_to_prec(cfg.digits + cfg.guard + 10)
+    power = _mpf_pow_int(pi._raw, 2 * k, prec)
+    value = _mpf_mul(_quotient(c_k.numerator, c_k.denominator, prec), power, prec)
+    return HighPrecReal(digits=cfg.digits, value=value)
 
 
 def direct_sum_terms(k: int, cfg: PrecisionConfig) -> int:
@@ -334,8 +441,8 @@ def zeta_direct_sum(k: int, cfg: PrecisionConfig) -> HighPrecReal:
     e = 2 * k
     total = sum(scale // n**e for n in range(1, n_terms + 1))
     total += tail.numerator * scale // tail.denominator
-    value = _quotient(total, scale, dps_to_prec(p + 10))
-    return HighPrecReal(digits=cfg.digits, value=mp.make_mpf(value))
+    value = _quotient(total, scale, _dps_to_prec(p + 10))
+    return HighPrecReal(digits=cfg.digits, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +462,7 @@ def format_real(x: HighPrecReal) -> str:
     found by integer comparison.
     """
     d = x.digits
-    negative, num, den = _exact_parts(x.value)
+    negative, num, den = _exact_parts(x._raw)
     sign = "-" if negative else ""
     # bit lengths at least 12 apart downwards put |x| above 2^-13 > 1e-4,
     # so only values near the threshold pay for the exact comparison
@@ -382,12 +489,11 @@ def format_real(x: HighPrecReal) -> str:
 
 
 def _exact_parts(value) -> tuple[bool, int, int]:
-    """(is negative, numerator, denominator) of |value|, exactly."""
-    parts = getattr(value, "_mpf_", None)
-    if parts is None:  # int, float or str, as mp.mpf would take
+    """(is negative, numerator, denominator) of |value|, a raw mpf or a number."""
+    if type(value) is not tuple:  # int, float or str, as mp.mpf would take
         q = Fraction(value)
         return q < 0, abs(q.numerator), q.denominator
-    sign, man, exp, _ = parts
+    sign, man, exp, _ = value
     if not man and exp:  # inf and nan carry a zero mantissa
         raise ValueError(f"cannot format the non-finite value {value}")
     man = int(man)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
 from .exact import _num_den_row, _table_text
 
@@ -125,7 +125,9 @@ def consistency_residual(table: ZetaCoeffTable, k: int) -> Fraction:
         raise ValueError(f"k must be >= 1, got {k}")
     table.extend(max(k, table.max_k))
     s = Fraction(0)
-    for j in range(k):
-        term = table.coeff(j + 1) / factorial(2 * k - 2 * j - 1)
+    fact = 1  # (2k-2j-1)!, one running product as j falls from k-1 to 0
+    for j in reversed(range(k)):
+        term = table.coeff(j + 1) / fact
         s += term if j % 2 == 0 else -term
-    return Fraction(k, factorial(2 * k + 1)) - s
+        fact *= (2 * k - 2 * j) * (2 * k - 2 * j + 1)
+    return Fraction(k, fact) - s  # fact is (2k+1)! here

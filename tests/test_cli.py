@@ -151,6 +151,27 @@ def test_bench_mismatch_exits_one(capsys, monkeypatch):
     assert "disagree" in err
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_bench_mismatch_reports_on_stderr_only(capsys, monkeypatch, tmp_path, to_file):
+    import zeta2k.bench as bench
+
+    monkeypatch.setattr(bench, "zeta_coeff_via_bernoulli", lambda k, t: Fraction(1, 7))
+    argv = ["bench", "--k-list", "2", "--reps", "1"]
+    if to_file:
+        argv += ["--output", str(tmp_path / "bench.csv")]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err == "FAIL: backends disagree at k=2: recursive=1/90 bernoulli=1/7\n"
+    assert out == ""
+    assert os.listdir(tmp_path) == []  # no report and no temp file
+
+
+def test_bench_default_sweep_is_the_library_one():
+    import zeta2k.bench as bench
+
+    assert cli.build_parser().parse_args(["bench"]).k_list == bench.DEFAULT_SWEEP
+
+
 def test_output_writes_file_atomically(capsys, tmp_path):
     target = tmp_path / "table.csv"
     code, out, _ = run(capsys, ["table", "--max-k", "2", "--output", str(target)])

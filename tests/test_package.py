@@ -1,7 +1,8 @@
 """The package surface and which heavy libraries each entry point loads.
 
-numpy and mpmath are imported only by the code that uses them, so each
-import check runs in a fresh interpreter and reads its ``sys.modules``.
+numpy, mpmath and the standard library's dataclasses (with inspect) and
+statistics are imported only by the code that uses them, so each import
+check runs in a fresh interpreter and reads its ``sys.modules``.
 """
 
 import importlib
@@ -19,15 +20,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD = """
 import contextlib, io, sys
 {code}
-print(" ".join(sorted({{"numpy", "mpmath"}} & {{m.split(".")[0] for m in sys.modules}})))
+print(" ".join(sorted({names!r} & {{m.split(".")[0] for m in sys.modules}})))
 """
 
 
-def heavy_modules_loaded(code: str) -> set[str]:
-    """Which of numpy and mpmath a fresh interpreter holds after running code."""
+def modules_loaded(code: str, names: set[str]) -> set[str]:
+    """Which of the named top-level modules a fresh interpreter holds after code."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD.format(code=code)],
+        [sys.executable, "-c", CHILD.format(code=code, names=names)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -35,6 +36,11 @@ def heavy_modules_loaded(code: str) -> set[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def heavy_modules_loaded(code: str) -> set[str]:
+    """Which of numpy and mpmath a fresh interpreter holds after running code."""
+    return modules_loaded(code, {"numpy", "mpmath"})
 
 
 def after_main(argv: list[str]) -> str:
@@ -72,6 +78,68 @@ def test_integer_commands_load_neither_numpy_nor_mpmath(argv):
 )
 def test_eval_and_verify_load_no_numpy(argv):
     assert "numpy" not in heavy_modules_loaded(after_main(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "-k", "2", "-d", "30"],
+        ["eval", "-k", "2", "-d", "4400"],
+        ["verify", "--max-k", "4"],
+    ],
+)
+def test_eval_and_verify_load_no_mpmath(argv):
+    assert "mpmath" not in heavy_modules_loaded(after_main(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "-k", "7"],
+        ["table", "--max-k", "6", "--format", "json"],
+        ["bernoulli", "--max-index", "8"],
+        ["eval", "-k", "2", "-d", "30"],
+        ["verify", "--max-k", "4"],
+        ["fourier", "-k", "1", "-n", "1"],
+        ["bench", "--k-list", "5", "--reps", "1"],
+    ],
+)
+def test_only_bench_loads_statistics(argv):
+    expected = {"statistics"} if argv[0] == "bench" else set()
+    assert modules_loaded(after_main(argv), {"statistics"}) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "-k", "7", "--format", "json"],
+        ["table", "--max-k", "6"],
+        ["bernoulli", "--max-index", "8", "--format", "json"],
+    ],
+)
+def test_integer_commands_load_no_dataclasses(argv):
+    assert modules_loaded(after_main(argv), {"dataclasses", "inspect", "statistics"}) == set()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "zeta_eval(3, cfg, Fraction(1, 945))",
+        "pi_value(cfg)",
+        "zeta_direct_sum(3, cfg)",
+    ],
+)
+def test_results_load_mpmath_on_first_value_read(call):
+    code = (
+        "from fractions import Fraction\n"
+        "from zeta2k.precision import PrecisionConfig, format_real, pi_value, "
+        "zeta_direct_sum, zeta_eval\n"
+        "cfg = PrecisionConfig(digits=20)\n"
+        f"x = {call}\n"
+        "format_real(x)\n"
+    )
+    assert modules_loaded(code, {"mpmath"}) == set()
+    assert modules_loaded(code + "x.value\n", {"mpmath"}) == {"mpmath"}
 
 
 def test_star_import_binds_every_public_name():
