@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Cold-table timing of the two coefficient backends.
 
-The Bernoulli route adds Fractions, so every step pays for a gcd of
-numbers that grow with k.  The paper recursion runs on integers with one
-exact division and one reduction per entry; the run recorded in the
-README measured it 10x to 17x faster over the default sweep.
+Both routes run on integers and reduce once per entry: the paper
+recursion with one exact division, the Bernoulli recurrence over one
+running common denominator.  The run recorded in the README measured
+the recursion about 1.1x to 2x faster over the default sweep.  The 10x
+to 17x reported before measured a Bernoulli route that added Fractions
+and paid a gcd on every term.
 The harness refuses to report timings unless both backends produced
 identical rationals at every k.
 """

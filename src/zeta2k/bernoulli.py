@@ -12,12 +12,21 @@ zeta coefficients through the closed form
 so this module is a fully independent oracle for :mod:`zeta2k.recursive`.
 The naive O(max_index^2) recurrence is kept on purpose: it is the honest
 baseline the recursion is measured against in :mod:`zeta2k.bench`.
+
+Like the recursion, it runs on integers.  B_0, B_2, B_4, ... are held as
+numerators over one running common denominator, which grows to the lcm
+with each new entry's reduced denominator whenever that does not divide
+it (no von Staudt-Clausen: the table finds its denominators itself).
+Each m then costs one Pascal row of C(m, j), one integer dot product and
+the single reduction that turns -s/m into B_{m-1}, so no gcd is paid per
+term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial, lcm
+from operator import add, mul
 
 from .exact import _num_den_row, _table_text
 
@@ -33,16 +42,25 @@ class BernoulliTable:
         if max_index < 0:
             raise ValueError(f"max_index must be >= 0, got {max_index}")
         values = [Fraction(1)]
+        # even[i] / den == B_(2i); den starts even, so B_1 = -(den // 2) / den
+        den = 2
+        even = [den]
+        row = [1, 1]  # C(m, 0..m), advanced one m per step
         for m in range(2, max_index + 2):
-            s = Fraction(0)
-            for j in range(m - 1):
-                if j > 1 and j % 2 == 1:
-                    continue  # odd entries >= 3 are zero, nothing to add
-                bj = values[j]
-                if bj:
-                    s += comb(m, j) * bj
-            values.append(-s / m)
-        self._values = values[: max_index + 1]
+            row = [1, *map(add, row, row[1:]), 1]
+            s = sum(map(mul, row[0 : m - 1 : 2], even))
+            if m > 2:
+                s -= m * (den // 2)  # C(m, 1) * B_1
+            b = Fraction(-s, m * den)  # B_(m-1)
+            values.append(b)
+            if m % 2:  # m - 1 is even: store B_(m-1) over den
+                q = b.denominator
+                if den % q:
+                    grown = lcm(den, q)
+                    even = [e * (grown // den) for e in even]
+                    den = grown
+                even.append(b.numerator * (den // q))
+        self._values = values
 
     @property
     def max_index(self) -> int:

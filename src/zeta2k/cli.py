@@ -34,8 +34,17 @@ class _StderrFailure(Exception):
     """A subcommand failed: main prints the message to stderr and exits 1."""
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
+# Largest table sizes the commands accept, each chosen so that the largest
+# accepted input takes about 30 s on a 2-core machine (Python 3.11): the
+# paper kernel grows about K^3.8, verify's checks about K^4 and the
+# Bernoulli recurrence about M^4, so far larger inputs would run for hours.
+_MAX_K = 1500
+_MAX_VERIFY_K = 700
+_MAX_BERNOULLI_INDEX = 2500
+
+
+def _int_at_least(low: int, cap: int | None = None, why: str = ""):
+    """argparse type: an integer >= low, and <= cap when one is given."""
 
     def parse(text: str) -> int:
         try:
@@ -44,12 +53,25 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"must be <= {cap}, got {value}: {why}")
         return value
 
     return parse
 
 
 _positive_int = _int_at_least(1)
+_table_k = _int_at_least(
+    1, _MAX_K, f"the coefficient table grows about K^3.8 and K={_MAX_K} takes about 30 s"
+)
+_verify_k = _int_at_least(
+    1, _MAX_VERIFY_K, f"the checks grow about K^4 and K={_MAX_VERIFY_K} takes about 30 s"
+)
+_bernoulli_index = _int_at_least(
+    0,
+    _MAX_BERNOULLI_INDEX,
+    f"the recurrence grows about M^4 and M={_MAX_BERNOULLI_INDEX} takes about 30 s",
+)
 
 
 def _k_list(text: str) -> tuple[int, ...]:
@@ -76,28 +98,33 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = with_output(sub.add_parser("coeff", help="print the exact coefficient c_k"))
-    p.add_argument("-k", type=_positive_int, required=True, metavar="K")
+    p.add_argument("-k", type=_table_k, required=True, metavar="K",
+                   help=f"1 <= K <= {_MAX_K}")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.set_defaults(func=_cmd_coeff)
 
     p = with_output(sub.add_parser("eval", help="print zeta(2k) to D digits"))
-    p.add_argument("-k", type=_positive_int, required=True, metavar="K")
+    p.add_argument("-k", type=_table_k, required=True, metavar="K",
+                   help=f"1 <= K <= {_MAX_K}")
     p.add_argument("-d", "--digits", type=_positive_int, required=True, metavar="D")
     p.set_defaults(func=_cmd_eval)
 
     p = with_output(
         sub.add_parser("verify", help="run the exact cross-backend and cosine-series suites")
     )
-    p.add_argument("--max-k", type=_positive_int, default=50, metavar="K")
+    p.add_argument("--max-k", type=_verify_k, default=50, metavar="K",
+                   help=f"check 1 <= k <= K, K <= {_MAX_VERIFY_K} (default 50)")
     p.set_defaults(func=_cmd_verify)
 
     p = with_output(sub.add_parser("table", help="export c_1..c_K"))
-    p.add_argument("--max-k", type=_positive_int, required=True, metavar="K")
+    p.add_argument("--max-k", type=_table_k, required=True, metavar="K",
+                   help=f"1 <= K <= {_MAX_K}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_table)
 
     p = with_output(sub.add_parser("bernoulli", help="export B_0..B_M"))
-    p.add_argument("--max-index", type=_int_at_least(0), required=True, metavar="M")
+    p.add_argument("--max-index", type=_bernoulli_index, required=True, metavar="M",
+                   help=f"0 <= M <= {_MAX_BERNOULLI_INDEX}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_bernoulli)
 

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zeta2k.bernoulli import BernoulliTable, zeta_coeff_via_bernoulli
 from zeta2k.recursive import ZetaCoeffTable
@@ -101,3 +103,34 @@ def test_csv_and_json_exports():
     assert table.to_csv() == "m,num,den\n0,1,1\n1,-1,2\n2,1,6\n3,0,1\n4,-1,30\n"
     payload = json.loads(table.to_json())
     assert payload[4] == {"m": 4, "num": "-1", "den": "30"}
+
+
+def _bernoulli_over_fractions(max_index):
+    """The Fraction loop BernoulliTable ran before it moved to integers."""
+    from math import comb
+
+    values = [Fraction(1)]
+    for m in range(2, max_index + 2):
+        s = Fraction(0)
+        for j in range(m - 1):
+            if j > 1 and j % 2 == 1:
+                continue  # odd entries >= 3 are zero, nothing to add
+            bj = values[j]
+            if bj:
+                s += comb(m, j) * bj
+        values.append(-s / m)
+    return values[: max_index + 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=250))
+@example(0)
+@example(1)
+@example(2)
+@example(250)
+def test_integer_table_equals_the_fraction_recurrence(max_index):
+    got = BernoulliTable(max_index).values
+    want = _bernoulli_over_fractions(max_index)
+    assert [(b.numerator, b.denominator) for b in got] == [
+        (b.numerator, b.denominator) for b in want
+    ]

@@ -69,6 +69,28 @@ def test_verify_reports_fault_injection(capsys, monkeypatch):
     assert "mismatch" in out
 
 
+def test_verify_reports_a_nonzero_residual(capsys, monkeypatch):
+    """Both backends agree on a wrong c_5, so only the residual catches it."""
+    from zeta2k.recursive import ZetaCoeffTable
+
+    wrong = Fraction(1, 10**9)
+
+    class Corrupted(ZetaCoeffTable):
+        def __init__(self, max_k):
+            super().__init__(max_k)
+            self._coeffs[4] += wrong
+
+    real = cli.zeta_coeff_via_bernoulli
+
+    def agreeing(k, table):
+        return real(k, table) + (wrong if k == 5 else 0)
+
+    monkeypatch.setattr(cli, "ZetaCoeffTable", Corrupted)
+    monkeypatch.setattr(cli, "zeta_coeff_via_bernoulli", agreeing)
+    code, out, _ = run(capsys, ["verify", "--max-k", "8"])
+    assert (code, out) == (1, "FAIL k=5: consistency identity residual is nonzero\n")
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, ["table", "--max-k", "3"])
     assert code == 0
@@ -243,3 +265,30 @@ def test_coeff_beyond_the_int_to_str_limit(capsys):
     got = Fraction(int(Decimal(num)), int(Decimal(den)))
     b_num, b_den = (int(x) for x in bernfrac(1800))
     assert got == -Fraction(b_num, b_den) * Fraction(2**1799, factorial(1800))
+
+
+_CAPS = [
+    (["coeff", "-k"], cli._MAX_K, []),
+    (["table", "--max-k"], cli._MAX_K, []),
+    (["eval", "-k"], cli._MAX_K, ["-d", "10"]),
+    (["verify", "--max-k"], cli._MAX_VERIFY_K, []),
+    (["bernoulli", "--max-index"], cli._MAX_BERNOULLI_INDEX, []),
+]
+
+
+@pytest.mark.parametrize("flag,cap,rest", _CAPS)
+def test_table_sizes_past_the_cap_are_refused_before_any_work(capsys, monkeypatch, flag, cap, rest):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built for a refused input")
+
+    monkeypatch.setattr(cli, "ZetaCoeffTable", refuse)
+    monkeypatch.setattr(cli, "BernoulliTable", refuse)
+    for too_big in (cap + 1, 10**7, 10**4000):
+        code, out, err = run(capsys, flag + [str(too_big)] + rest)
+        assert (code, out) == (2, "")
+        assert f"must be <= {cap}, got {too_big}: " in err
+        assert "takes about 30 s" in err
+    # the cap itself parses, and the help states it
+    assert cap in vars(cli.build_parser().parse_args(flag + [str(cap)] + rest)).values()
+    code, out, _ = run(capsys, [flag[0], "-h"])
+    assert code == 0 and f"<= {cap}" in out

@@ -262,3 +262,27 @@ def test_residual_scale_k1():
     # tail of 4*zeta(2) style series: residual(N) is about 4/N
     residual = reconstruction_residual(1, 1000)
     assert 1e-3 < residual < 8e-3
+
+
+def _reconstruct_over_numpy_scalars(k, x, n_terms):
+    """reconstruct as it was, with fsum reading the numpy array directly."""
+    import numpy as np
+
+    n = np.arange(1, n_terms + 1, dtype=np.float64)
+    amplitude = np.zeros_like(n)
+    for term in cosine_coeff_closed(k).terms:
+        amplitude += (float(term.coeff) * math.pi**term.pi_power) * n ** (
+            -float(term.inv_n_power)
+        )
+    series = amplitude * np.cos(n * x)
+    mean = math.pi ** (2 * k) / (2 * k + 1)
+    return mean + math.fsum(series)
+
+
+def test_reconstruct_is_bit_identical_to_fsum_over_numpy_scalars():
+    rng = random.Random(20261018)
+    cases = [(rng.randint(1, 6), rng.uniform(0.0, math.pi), rng.randint(1, 5000))
+             for _ in range(40)]
+    cases += [(1, 0.0, 1), (3, math.pi, 4096), (2, math.pi / 2, 60_000)]
+    for k, x, n_terms in cases:
+        assert reconstruct(k, x, n_terms) == _reconstruct_over_numpy_scalars(k, x, n_terms)

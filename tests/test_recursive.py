@@ -143,3 +143,37 @@ def test_shared_table_grows_safely_under_concurrent_readers():
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     assert table.coeffs == expected
+
+
+def _residual_over_fractions(table, k):
+    """consistency_residual as it was: one Fraction addition per term."""
+    s = Fraction(0)
+    fact = 1  # (2k-2j-1)!, one running product as j falls from k-1 to 0
+    for j in reversed(range(k)):
+        term = table.coeff(j + 1) / fact
+        s += term if j % 2 == 0 else -term
+        fact *= (2 * k - 2 * j) * (2 * k - 2 * j + 1)
+    return Fraction(k, fact) - s  # fact is (2k+1)! here
+
+
+def test_residual_equals_the_fraction_sum_on_a_correct_table():
+    table = ZetaCoeffTable(60)
+    for k in range(1, 61):
+        got, want = consistency_residual(table, k), _residual_over_fractions(table, k)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "m,delta", [(1, Fraction(1, 7)), (2, Fraction(-3, 10**12)), (21, Fraction(1, 10**6)), (60, Fraction(5))]
+)
+def test_residual_equals_the_fraction_sum_on_a_perturbed_table(m, delta):
+    from math import factorial
+
+    table = ZetaCoeffTable(60)
+    table._coeffs[m - 1] += delta
+    for k in range(1, 61):
+        got, want = consistency_residual(table, k), _residual_over_fractions(table, k)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        # only the c_m term moves: by (-1)^(m-1) delta / (2k-2m+1)!, subtracted
+        expected = 0 if k < m else (-1) ** m * delta / factorial(2 * k - 2 * m + 1)
+        assert got == expected
