@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -43,18 +45,45 @@ _MAX_VERIFY_K = 700
 _MAX_BERNOULLI_INDEX = 2500
 
 
+# what int() accepts: optional sign, decimal digits, single underscores
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _shown(text: str) -> str:
+    """An argument as an error message quotes it: cut short past 40 characters."""
+    text = text.strip()
+    if len(text) <= 40:
+        return text
+    return f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
+
+
 def _int_at_least(low: int, cap: int | None = None, why: str = ""):
     """argparse type: an integer >= low, and <= cap when one is given."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = shown = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+            if _INT_TEXT.fullmatch(text) is None:
+                raise argparse.ArgumentTypeError(f"{_shown(text)!r} is not an integer") from None
+            # int() refuses more than sys.get_int_max_str_digits() digits
+            # (4300 by default), leading zeros included; without them the
+            # value is either small again or beyond every bound here
+            body = text.strip()
+            digits = body.lstrip("+-").replace("_", "").lstrip("0") or "0"
+            sign = -1 if body.startswith("-") else 1
+            if len(digits) <= sys.get_int_max_str_digits():
+                value = shown = sign * int(digits)
+            else:
+                value, shown = sign * math.inf, _shown(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {shown}")
         if cap is not None and value > cap:
-            raise argparse.ArgumentTypeError(f"must be <= {cap}, got {value}: {why}")
+            raise argparse.ArgumentTypeError(f"must be <= {cap}, got {shown}: {why}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must have at most {sys.get_int_max_str_digits()} digits, got {shown}"
+            )
         return value
 
     return parse

@@ -12,8 +12,6 @@ exported table.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
 from operator import itemgetter
@@ -35,11 +33,12 @@ def _table_text(header, rows, fmt: str) -> str:
     """Rows (dicts keyed by the header's names) as CSV, or as a JSON list if fmt is "json"."""
     if fmt == "json":
         return json.dumps(rows)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(map(itemgetter(*header), rows))  # tuples: every header has 2+ names
-    return buf.getvalue()
+    # Every field is an int, a digit string, an identifier or a plain
+    # decimal, none of which CSV quotes; every header has 2+ names, so
+    # itemgetter yields tuples.
+    lines = [",".join(header)]
+    lines += [",".join(map(str, fields)) for fields in map(itemgetter(*header), rows)]
+    return "\n".join(lines) + "\n"
 
 
 # Below Python's smallest allowed int->str limit (640 digits): 1900 bits

@@ -133,15 +133,19 @@ def cosine_coeff_recursive(k: int, n: int) -> tuple[PiTerm, ...]:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    inv_n2 = Fraction(1, n * n)
-    poly: dict[int, Fraction] = {0: 4 * inv_n2}
+    # nums[i] / n^(2m) is the coefficient of pi^(2i) after step m: b_m
+    # multiplies every numerator by -(2m)(2m-1), and the new lead 4m/n^2 is
+    # 4m * n^(2m-2) over the common denominator
+    n2 = n * n
+    nums = [4]
+    den = n2
     for m in range(2, k + 1):
-        b = b_factor(m, n)
-        poly = {power: coeff * b for power, coeff in poly.items()}
-        lead = 4 * m * inv_n2
-        poly[2 * m - 2] = poly.get(2 * m - 2, Fraction(0)) + lead
+        factor = -(2 * m) * (2 * m - 1)
+        nums = [num * factor for num in nums]
+        nums.append(4 * m * den)
+        den *= n2
     return tuple(
-        PiTerm(power, poly[power]) for power in sorted(poly, reverse=True)
+        PiTerm(2 * i, Fraction(nums[i], den)) for i in reversed(range(k))
     )
 
 

@@ -19,16 +19,24 @@ and every E_m is an integer: (2m)! * c_m = 2^(2m-1) * |B_2m|, and the
 denominator of B_2m is a product of distinct primes p <= 2m+1.  The m = k
 term has C(2k+1, 2k) = 2k+1, so each new E_k costs one exact division of
 an integer sum, and c_k = E_k / (L * (2k)!) is reduced once.  Fractions,
-and the gcds their sums pay for, stay out of the inner loop.  All
-arithmetic is exact; pi never enters (it is reattached at evaluation time
-by :mod:`zeta2k.precision`).
+and the gcds their sums pay for, stay out of the inner loop.
+
+The binomials come from the lower half of Pascal's row n = 2k+1,
+C(n, 0..k): its even entries give C(n, 2m) for 2m <= k, and its odd
+entries, read backwards, give the rest through C(n, 2m) = C(n, n-2m).
+Two Pascal steps, additions only, carry the half row from n - 2 to n,
+and each row sum is one ``sum(map(mul, ...))``, so the loop over m runs
+in the interpreter's C code.  A table that grows seeds the half row with
+``math.comb`` at its current size.  All arithmetic is exact; pi never
+enters (it is reattached at evaluation time by :mod:`zeta2k.precision`).
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
+from operator import add, mul
 
 from .exact import _num_den_row, _table_text
 
@@ -80,15 +88,18 @@ class ZetaCoeffTable:
                     raise ArithmeticError(f"c_{m} is not a zeta coefficient")
                 e_m = q.numerator * multiple
                 signed.append(e_m if m % 2 else -e_m)
-            for k in range(len(c) + 1, new_max_k + 1):
+            start = len(c) + 1
+            half = [comb(2 * start - 1, j) for j in range(start)]
+            for k in range(start, new_max_k + 1):
+                # half = C(2k-1, 0..k-1), and C(2k-1, k) = C(2k-1, k-1): two
+                # Pascal steps give C(n, 0..k), the lower half of row n = 2k+1
+                half = [1, *map(add, half, half[1:]), 2 * half[k - 1]]
+                half = [1, *map(add, half, half[1:])]
                 n = 2 * k + 1
-                binom = 1  # C(n, 2m), advanced two places per term
-                s = 0
-                for m, e_m in enumerate(signed, start=1):
-                    binom = binom * (n - 2 * m + 2) * (n - 2 * m + 1)
-                    binom //= (2 * m - 1) * (2 * m)
-                    s += binom * e_m
-                e_k, rem = divmod(k * scale - s, n)
+                # C(n, 2m) for m = 1 .. k-1: the even entries of the half row,
+                # then the rest mirrored, since C(n, 2m) = C(n, n-2m)
+                binoms = half[2 : k + 1 : 2] + half[n - 2 * (k // 2 + 1) : 2 : -2]
+                e_k, rem = divmod(k * scale - sum(map(mul, binoms, signed)), n)
                 if rem:
                     raise ArithmeticError(f"E_{k} is not an integer")
                 signed.append(e_k)

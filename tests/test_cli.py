@@ -292,3 +292,35 @@ def test_table_sizes_past_the_cap_are_refused_before_any_work(capsys, monkeypatc
     assert cap in vars(cli.build_parser().parse_args(flag + [str(cap)] + rest)).values()
     code, out, _ = run(capsys, [flag[0], "-h"])
     assert code == 0 and f"<= {cap}" in out
+
+
+_LONG = "0" * 5000  # 5001-digit arguments are past Python's int->str limit
+
+
+@pytest.mark.parametrize(
+    "argv,refusal",
+    [
+        (["coeff", "-k", "1" + _LONG], f"must be <= {cli._MAX_K}, got "),
+        (["table", "--max-k", "+1" + _LONG], f"must be <= {cli._MAX_K}, got "),
+        (["coeff", "-k", "-1" + _LONG], "must be >= 1, got "),
+        (["bernoulli", "--max-index", "-1" + _LONG], "must be >= 0, got "),
+        (["eval", "-k", "2", "-d", "1" + _LONG], "must have at most 4300 digits, got "),
+        (["coeff", "-k", "x" + _LONG], "is not an integer"),
+    ],
+)
+def test_integers_past_the_int_to_str_limit_are_refused_briefly(capsys, monkeypatch, argv, refusal):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built for a refused input")
+
+    monkeypatch.setattr(cli, "ZetaCoeffTable", refuse)
+    monkeypatch.setattr(cli, "BernoulliTable", refuse)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert refusal in err
+    assert len(err) < 300
+
+
+def test_zero_padding_past_the_int_to_str_limit_keeps_the_value():
+    parser = cli.build_parser()
+    assert parser.parse_args(["coeff", "-k", _LONG + "7"]).k == 7
+    assert parser.parse_args(["bernoulli", "--max-index", "-" + _LONG]).max_index == 0

@@ -1,9 +1,17 @@
+import contextlib
+import csv
+import io
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
-from zeta2k.exact import format_rational
+import zeta2k.cli as cli
+from zeta2k.bench import _BENCH_HEADER, BenchReport, BenchRow
+from zeta2k.bernoulli import BernoulliTable
+from zeta2k.exact import _table_text, format_rational
+from zeta2k.recursive import ZetaCoeffTable
 
 
 @pytest.mark.parametrize(
@@ -69,3 +77,44 @@ def test_format_rational_beyond_the_int_to_str_limit():
     num, den = format_rational(q).split("/")
     assert len(num) > 4300 and len(den) > 4300
     assert (num, den) == (str(Decimal(q.numerator)), str(Decimal(q.denominator)))
+
+
+def _csv_writer_text(header, rows):
+    """The tables' CSV as csv.writer renders it, the reference for _table_text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([row[name] for name in header] for row in rows)
+    return buf.getvalue()
+
+
+def test_csv_is_byte_identical_to_csv_writer_for_the_exact_tables():
+    coeffs = ZetaCoeffTable(300)
+    assert coeffs.to_csv() == _csv_writer_text(("k", "num", "den"), coeffs.rows())
+    bernoulli = BernoulliTable(120)  # negative numerators
+    assert any(row["num"].startswith("-") for row in bernoulli.rows())
+    assert bernoulli.to_csv() == _csv_writer_text(("m", "num", "den"), bernoulli.rows())
+    report = BenchReport(
+        (BenchRow(10, "recursive", 48_000, 11, 3), BenchRow(10, "bernoulli", 65_000, 11, 3))
+    )
+    rows = [asdict(row) for row in report.rows]
+    assert report.to_csv() == _csv_writer_text(_BENCH_HEADER, rows)
+
+
+@pytest.mark.parametrize(
+    "argv", [["fourier", "-k", "3", "-n", "4"], ["bench", "--k-list", "1,5", "--reps", "1"]]
+)
+def test_csv_is_byte_identical_to_csv_writer_for_cli_reports(monkeypatch, argv):
+    seen = []
+
+    def recording(header, rows, fmt):
+        seen.append((header, rows, fmt))
+        return _table_text(header, rows, fmt)
+
+    monkeypatch.setattr(cli, "_table_text", recording)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    [(header, rows, fmt)] = seen
+    assert fmt == "csv" and rows
+    assert out.getvalue() == _csv_writer_text(header, rows)

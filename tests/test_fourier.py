@@ -78,6 +78,25 @@ def test_recursive_matches_closed_exactly():
             assert recursive == closed.substitute(n), (k, n)
 
 
+def _recursive_over_fractions(k, n):
+    """cosine_coeff_recursive as it was, one Fraction per coefficient and step."""
+    inv_n2 = Fraction(1, n * n)
+    poly = {0: 4 * inv_n2}
+    for m in range(2, k + 1):
+        b = b_factor(m, n)
+        poly = {power: coeff * b for power, coeff in poly.items()}
+        poly[2 * m - 2] = poly.get(2 * m - 2, Fraction(0)) + 4 * m * inv_n2
+    return [(power, poly[power]) for power in sorted(poly, reverse=True)]
+
+
+def test_recursive_equals_the_fraction_recursion():
+    for k in range(1, 21):
+        for n in range(1, 13):
+            terms = [(t.pi_power, t.coeff) for t in cosine_coeff_recursive(k, n)]
+            assert terms == _recursive_over_fractions(k, n), (k, n)
+            assert all(type(coeff) is Fraction for _, coeff in terms)
+
+
 def test_input_validation():
     for bad_call in (
         lambda: cosine_coeff_closed(0),

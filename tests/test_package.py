@@ -122,6 +122,18 @@ def test_integer_commands_load_no_dataclasses(argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "-k", "7"],
+        ["table", "--max-k", "6"],
+        ["bernoulli", "--max-index", "8"],
+    ],
+)
+def test_integer_commands_load_no_csv(argv):
+    assert modules_loaded(after_main(argv), {"csv"}) == set()
+
+
+@pytest.mark.parametrize(
     "call",
     [
         "zeta_eval(3, cfg, Fraction(1, 945))",

@@ -106,6 +106,15 @@ def test_growing_in_uneven_steps_matches_fresh_table():
     assert table.coeffs == ZetaCoeffTable(200).coeffs
 
 
+def test_growing_from_odd_and_even_sizes_matches_fresh_table():
+    # each extend seeds the half Pascal row C(2k+1, 0..k) at the table's
+    # current size, here from odd and even k alike
+    table = ZetaCoeffTable(6)
+    for step in (7, 8, 41, 150):
+        table.extend(step)
+    assert table.coeffs == ZetaCoeffTable(150).coeffs
+
+
 def test_extending_a_table_of_non_coefficients_raises():
     table = ZetaCoeffTable(5)
     table._coeffs[2] += Fraction(1, 10**6)
