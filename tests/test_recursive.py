@@ -107,8 +107,8 @@ def test_growing_in_uneven_steps_matches_fresh_table():
 
 
 def test_growing_from_odd_and_even_sizes_matches_fresh_table():
-    # each extend seeds the half Pascal row C(2k+1, 0..k) at the table's
-    # current size, here from odd and even k alike
+    # each extend seeds its half Pascal row with math.comb at the table's
+    # current size, here odd and even sizes alike
     table = ZetaCoeffTable(6)
     for step in (7, 8, 41, 150):
         table.extend(step)
