@@ -1,8 +1,13 @@
+import errno
 import json
 import os
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zeta2k.cli as cli
 from zeta2k.cli import main
@@ -224,6 +229,51 @@ def test_output_plain_value_gets_newline(capsys, tmp_path):
     target = tmp_path / "c.txt"
     run(capsys, ["coeff", "-k", "2", "--output", str(target)])
     assert target.read_text() == "1/90\n"
+
+
+class _FailingWrite:
+    """What os.fdopen returns when the disk fills: every write raises."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    failing=st.sampled_from(["write", "chmod", "replace"]),
+    existing=st.none() | st.tuples(st.binary(max_size=64), st.sampled_from([0o600, 0o640, 0o644, 0o604])),
+    text=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=200),
+)
+def test_output_left_untouched_when_the_write_fails(failing, existing, text):
+    """An error while writing, setting the mode or renaming keeps the old file exactly."""
+    fdopen = os.fdopen
+    patches = {
+        "write": mock.patch.object(cli.os, "fdopen", lambda *a, **kw: _FailingWrite(fdopen(*a, **kw))),
+        "chmod": mock.patch.object(cli.os, "chmod", side_effect=PermissionError(errno.EPERM, "chmod")),
+        "replace": mock.patch.object(cli.os, "replace", side_effect=OSError(errno.EXDEV, "replace")),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "out.csv")
+        if existing is not None:
+            with open(target, "wb") as handle:
+                handle.write(existing[0])
+            os.chmod(target, existing[1])
+        with patches[failing], pytest.raises(OSError):
+            cli._write_atomic(target, text)
+        assert os.listdir(tmp) == ([] if existing is None else ["out.csv"])
+        if existing is not None:
+            with open(target, "rb") as handle:
+                assert handle.read() == existing[0]
+            assert os.stat(target).st_mode & 0o777 == existing[1]
 
 
 def test_missing_subcommand_is_usage_error(capsys):
