@@ -95,5 +95,7 @@ def zeta_coeff_via_bernoulli(k: int, table: BernoulliTable) -> Fraction:
         raise ValueError(
             f"table covers B_0..B_{table.max_index}, need B_{2 * k}"
         )
-    sign = 1 if k % 2 == 1 else -1
-    return sign * table.value(2 * k) * Fraction(2 ** (2 * k - 1), factorial(2 * k))
+    # one Fraction, so one gcd: (-1)^(k+1) * B_2k * 2^(2k-1) / (2k)!
+    b = table.value(2 * k)
+    num = b.numerator << (2 * k - 1)
+    return Fraction(num if k % 2 else -num, b.denominator * factorial(2 * k))

@@ -38,10 +38,11 @@ class _StderrFailure(Exception):
 
 # Largest table sizes the commands accept, each chosen so that the largest
 # accepted input takes about 30 s on a 2-core machine (Python 3.11): the
-# paper kernel grows about K^3.8, verify's checks about K^4 and the
-# Bernoulli recurrence about M^4, so far larger inputs would run for hours.
+# paper kernel grows about K^3.8, verify's checks about K^4 (its Bernoulli
+# table of index 2K the largest part) and the Bernoulli recurrence about
+# M^4, so far larger inputs would run for hours.
 _MAX_K = 1500
-_MAX_VERIFY_K = 700
+_MAX_VERIFY_K = 1200
 _MAX_BERNOULLI_INDEX = 2500
 
 

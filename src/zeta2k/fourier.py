@@ -283,12 +283,15 @@ def reconstruct(k: int, x: float, n_terms: int) -> float:
     import numpy as np
 
     n = np.arange(1, n_terms + 1, dtype=np.float64)
-    amplitude = np.zeros_like(n)
+    series = np.zeros_like(n)
+    scratch = np.empty_like(n)
     for term in cosine_coeff_closed(k).terms:
-        amplitude += (float(term.coeff) * math.pi**term.pi_power) * n ** (
-            -float(term.inv_n_power)
-        )
-    series = amplitude * np.cos(n * x)
+        np.power(n, -float(term.inv_n_power), out=scratch)
+        scratch *= float(term.coeff) * math.pi**term.pi_power
+        series += scratch
+    if x != 0:  # cos(0.0) is exactly 1.0, so x = 0 needs no cos pass
+        np.multiply(n, x, out=scratch)
+        series *= np.cos(scratch, out=scratch)
     mean = math.pi ** (2 * k) / (2 * k + 1)
     # a memoryview yields plain floats, which fsum reads faster than numpy
     # scalars, and builds no list; fsum rounds exactly once, so the sum is

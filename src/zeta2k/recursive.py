@@ -29,14 +29,20 @@ and each row sum is one ``sum(map(mul, ...))``, so the loop over m runs
 in the interpreter's C code.  A table that grows seeds the half row with
 ``math.comb`` at its current size.  All arithmetic is exact; pi never
 enters (it is reattached at evaluation time by :mod:`zeta2k.precision`).
+
+:func:`consistency_residual` checks the identity itself on the stored c_m,
+as literal rationals.  With Lambda the lcm of the table's denominators
+and P_j = Lambda * c_(j+1) (integers, kept per table), it takes the terms
+over Lambda * (2k+1)! and sums their numerators by Horner's rule, one
+small-by-big product per term.  It uses no L, E_m or binomials.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, lcm
-from operator import add, mul
+from math import comb, factorial, lcm
+from operator import add, is_, mul
 
 from .exact import _num_den_row, _table_text
 
@@ -60,6 +66,8 @@ class ZetaCoeffTable:
             raise ValueError(f"max_k must be >= 1, got {max_k}")
         self._coeffs: list[Fraction] = []
         self._lock = threading.Lock()
+        # (coefficients seen, Lambda, P) for consistency_residual
+        self._residual_cache: tuple | None = None
         self.extend(max_k)
 
     @property
@@ -132,23 +140,43 @@ def consistency_residual(table: ZetaCoeffTable, k: int) -> Fraction:
     must be exactly 0/1 for a correct table.  Nonzero residuals pinpoint
     the first broken entry when hunting a fault.
 
-    The terms are the literal fractions c_{j+1}/(2k-2j-1)!, each taken
-    over its unreduced denominator den(c_{j+1}) * (2k-2j-1)!.  They are
-    summed as integers over the lcm of (2k+1)! and those denominators and
-    reduced once, so the sum pays one reduction instead of a gcd per
-    term.  Nothing of the table's own integer recursion (L, E_m,
-    binomials) is reused, so the check stays independent of it.
+    The terms are the literal fractions c_{j+1}/(2k-2j-1)!, taken over the
+    common multiple Lambda * (2k+1)!, where Lambda is the lcm of the
+    denominators stored in the table and P_j = Lambda * c_{j+1} are
+    integers.  With f_j = (2k+1-2j)(2k-2j) = (2k-2j+1)!/(2k-2j-1)!, the
+    numerator sum_j (-1)^j P_j * (2k+1)!/(2k-2j-1)! follows by Horner's
+    rule, acc = f_j * (P_j - acc) for j = k-1 down to 0, so a call costs k
+    small-by-big products; Lambda and P are kept per table (see
+    :func:`_scaled_coeffs`).  The result is the same reduced rational as
+    the sum of the fractions themselves: only the common multiple differs.
+    Nothing of the table's own integer recursion (L, E_m, binomials) is
+    used, so the check stays independent of it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    table.extend(max(k, table.max_k))
-    terms = []  # (signed numerator, unreduced denominator)
-    fact = 1  # (2k-2j-1)!, one running product as j falls from k-1 to 0
+    table.extend(k)
+    scale, scaled = _scaled_coeffs(table, k)
+    acc = 0
     for j in reversed(range(k)):
-        c = table.coeff(j + 1)
-        terms.append((c.numerator if j % 2 == 0 else -c.numerator, c.denominator * fact))
-        fact *= (2 * k - 2 * j) * (2 * k - 2 * j + 1)
-    # fact is (2k+1)! here
-    common = lcm(fact, *(den for _, den in terms))
-    s = sum(num * (common // den) for num, den in terms)
-    return Fraction(k * (common // fact) - s, common)
+        acc = (2 * k + 1 - 2 * j) * (2 * k - 2 * j) * (scaled[j] - acc)
+    return Fraction(k * scale - acc, scale * factorial(2 * k + 1))
+
+
+def _scaled_coeffs(table: ZetaCoeffTable, k: int) -> tuple[int, tuple[int, ...]]:
+    """(Lambda, P) for the table's current c_1 .. c_k, built once per table.
+
+    The cache is one tuple (the coefficient objects it saw, Lambda, P),
+    replaced whole and read without a lock.  It serves k only while its
+    first k objects are the table's current entries, so growth, or an
+    entry replaced in ``_coeffs``, rebuilds it from a snapshot.
+    """
+    cache = table._residual_cache
+    if cache is not None:
+        seen, scale, scaled = cache
+        if len(seen) >= k and all(map(is_, seen, table._coeffs[:k])):
+            return scale, scaled
+    seen = tuple(table._coeffs)
+    scale = lcm(*(c.denominator for c in seen))
+    scaled = tuple(c.numerator * (scale // c.denominator) for c in seen)
+    table._residual_cache = (seen, scale, scaled)
+    return scale, scaled

@@ -134,3 +134,18 @@ def test_integer_table_equals_the_fraction_recurrence(max_index):
     assert [(b.numerator, b.denominator) for b in got] == [
         (b.numerator, b.denominator) for b in want
     ]
+
+
+def _coeff_as_a_product(k, table):
+    """zeta_coeff_via_bernoulli as it was: sign * B_2k * 2^(2k-1)/(2k)!."""
+    from math import factorial
+
+    sign = 1 if k % 2 == 1 else -1
+    return sign * table.value(2 * k) * Fraction(2 ** (2 * k - 1), factorial(2 * k))
+
+
+def test_coeff_equals_the_old_product_up_to_k300():
+    table = BernoulliTable(600)
+    for k in range(1, 301):
+        got, want = zeta_coeff_via_bernoulli(k, table), _coeff_as_a_product(k, table)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)

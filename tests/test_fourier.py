@@ -305,3 +305,11 @@ def test_reconstruct_is_bit_identical_to_fsum_over_numpy_scalars():
     cases += [(1, 0.0, 1), (3, math.pi, 4096), (2, math.pi / 2, 60_000)]
     for k, x, n_terms in cases:
         assert reconstruct(k, x, n_terms) == _reconstruct_over_numpy_scalars(k, x, n_terms)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_reconstruct_in_place_is_bit_identical_to_the_old_expression(k):
+    # x = 0 skips the cos pass, since cos(0.0) is exactly 1.0
+    for x in (0.0, 0.5, math.pi):
+        for n_terms in (1, 2, 7, 1000, 20_000, 60_000):
+            assert reconstruct(k, x, n_terms) == _reconstruct_over_numpy_scalars(k, x, n_terms)

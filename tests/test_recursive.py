@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeta2k.recursive import ZetaCoeffTable, consistency_residual
 
@@ -186,3 +188,76 @@ def test_residual_equals_the_fraction_sum_on_a_perturbed_table(m, delta):
         # only the c_m term moves: by (-1)^(m-1) delta / (2k-2m+1)!, subtracted
         expected = 0 if k < m else (-1) ** m * delta / factorial(2 * k - 2 * m + 1)
         assert got == expected
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("extend"), st.integers(min_value=1, max_value=60)),
+        st.tuples(
+            st.just("perturb"),
+            st.integers(min_value=1, max_value=60),
+            st.fractions(max_denominator=10**12).filter(bool),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30), _STEPS)
+def test_cached_residual_follows_edits_and_growth(size, first, steps):
+    """After a residual has filled the cache, edits and growth must show."""
+    table = ZetaCoeffTable(size)
+    consistency_residual(table, min(first, size))
+    originals = {}  # index -> the true entry a perturbation replaced
+    for step in steps:
+        if step[0] == "extend":
+            # only true entries extend, so put them back (as the same objects)
+            for i, c in originals.items():
+                table._coeffs[i] = c
+            originals.clear()
+            table.extend(step[1])
+        else:
+            _, m, delta = step
+            i = (m - 1) % table.max_k
+            originals.setdefault(i, table._coeffs[i])
+            table._coeffs[i] += delta
+        for k in range(1, table.max_k + 1):
+            got, want = consistency_residual(table, k), _residual_over_fractions(table, k)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_residuals_stay_zero_while_a_shared_table_grows():
+    import sys
+    import threading
+
+    table = ZetaCoeffTable(5)
+    start = threading.Barrier(5)
+    results = []
+
+    def sweep():
+        start.wait(timeout=10)
+        for k in range(1, 91):
+            r = consistency_residual(table, k)
+            results.append((r.numerator, r.denominator))
+
+    def grow():
+        start.wait(timeout=10)
+        for size in range(10, 121, 5):
+            table.extend(size)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep) for _ in range(4)]
+        threads.append(threading.Thread(target=grow))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [(0, 1)] * (4 * 90)
+    assert table.coeffs == ZetaCoeffTable(120).coeffs
