@@ -38,10 +38,11 @@ class _StderrFailure(Exception):
 
 # Largest table sizes the commands accept, each chosen so that the largest
 # accepted input takes about 30 s on a 2-core machine (Python 3.11): the
-# paper kernel grows about K^3.8, verify's checks about K^4 (its Bernoulli
-# table of index 2K the largest part) and the Bernoulli recurrence about
-# M^4, so far larger inputs would run for hours.
-_MAX_K = 1500
+# paper kernel grows about K^3.1 (cold coeff -k 1200, 1500, 1800, 2000:
+# 5.7, 12, 20, 27 s; table --max-k 2000: 30 s), verify's checks about K^4
+# (its Bernoulli table of index 2K the largest part) and the Bernoulli
+# recurrence about M^4, so far larger inputs would run for hours.
+_MAX_K = 2000
 _MAX_VERIFY_K = 1200
 _MAX_BERNOULLI_INDEX = 2500
 
@@ -92,7 +93,7 @@ def _int_at_least(low: int, cap: int | None = None, why: str = ""):
 
 _positive_int = _int_at_least(1)
 _table_k = _int_at_least(
-    1, _MAX_K, f"the coefficient table grows about K^3.8 and K={_MAX_K} takes about 30 s"
+    1, _MAX_K, f"the coefficient table grows about K^3.1 and K={_MAX_K} takes about 30 s"
 )
 _verify_k = _int_at_least(
     1, _MAX_VERIFY_K, f"the checks grow about K^4 and K={_MAX_VERIFY_K} takes about 30 s"

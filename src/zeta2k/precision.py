@@ -15,7 +15,7 @@ Two routes to the same number:
   ladders are kept for the same 16 precisions as pi in binary, so one
   ladder serves every k of that bit length: a sweep zeta(2)..zeta(2K)
   at D digits squares pi about log2(2K)^2/2 times, not K*log2(2K)
-  times.  For k <= 1500 a precision holds at most 10 ladders (2k of 3
+  times.  For k <= 2000 a precision holds at most 10 ladders (2k of 3
   to 12 bits), 65 squares of about prec = 3.32 * (D + 25) bits: about
   140 KB at D = 5200 and 2.7 MB at D = 10^5, for each of the 16.
 * ``zeta_direct_sum`` sums the defining series sum(1/n^(2k)) and never

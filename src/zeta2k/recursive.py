@@ -9,40 +9,39 @@ whose m = k term is (-1)^(k-1) * c_k, so each c_k follows from the ones
 before it.  The empty sum at k = 1 gives c_1 = 1/3! = 1/6, i.e.
 zeta(2) = pi^2/6.
 
-The table runs this recursion on integers.  With K the largest k wanted
-and L = lcm(1, ..., 2K+1), multiplying the identity by (2k+1)! * L gives
+The table runs this recursion on integers.  With K the largest k wanted,
+L = lcm(1, ..., 2K+1) and Lambda = L * (2K)!, every P_m = Lambda * c_m is
+an integer: E_m = L * (2m)! * c_m is one, since (2m)! * c_m =
+2^(2m-1) * |B_2m| and the denominator of B_2m is a product of distinct
+primes p <= 2m+1.  Multiplying the identity by Lambda * (2k+1)! gives
 
-    k * L  =  sum_{m=1}^{k} (-1)^(m-1) * C(2k+1, 2m) * E_m,
-    E_m = L * (2m)! * c_m,
+    k * Lambda  =  sum_{m=1}^{k} (-1)^(m-1) * P_m * g_m,
+    g_m = (2k+1)!/(2k-2m+1)!,
 
-and every E_m is an integer: (2m)! * c_m = 2^(2m-1) * |B_2m|, and the
-denominator of B_2m is a product of distinct primes p <= 2m+1.  The m = k
-term has C(2k+1, 2k) = 2k+1, so each new E_k costs one exact division of
-an integer sum, and c_k = E_k / (L * (2k)!) is reduced once.  Fractions,
-and the gcds their sums pay for, stay out of the inner loop.
+with g_1 = (2k+1)(2k) and g_(m+1) = g_m * (2k+1-2m)(2k-2m).  So the sum
+over m < k is (2k+1)(2k) * acc, where acc = P_m - (2k+1-2m)(2k-2m) * acc
+for m = k-1 down to 1 (Horner's rule): every product is big by small, as
+in Brent & Harvey's tangent-number triangle (arXiv:1108.0286).  The m = k
+term has g_k = (2k+1)!, so each new P_k costs one exact division, and
+c_k = P_k / Lambda is reduced once.  A table that grows rescales its
+entries to the new Lambda.  All arithmetic is exact; pi never enters (it
+is reattached at evaluation time by :mod:`zeta2k.precision`).
 
-The binomials come from the lower half of Pascal's row n = 2k+1,
-C(n, 0..k): its even entries give C(n, 2m) for 2m <= k, and its odd
-entries, read backwards, give the rest through C(n, 2m) = C(n, n-2m).
-Two Pascal steps, additions only, carry the half row from n - 2 to n,
-and each row sum is one ``sum(map(mul, ...))``, so the loop over m runs
-in the interpreter's C code.  A table that grows seeds the half row with
-``math.comb`` at its current size.  All arithmetic is exact; pi never
-enters (it is reattached at evaluation time by :mod:`zeta2k.precision`).
-
-:func:`consistency_residual` checks the identity itself on the stored c_m,
-as literal rationals.  With Lambda the lcm of the table's denominators
-and P_j = Lambda * c_(j+1) (integers, kept per table), it takes the terms
-over Lambda * (2k+1)! and sums their numerators by Horner's rule, one
-small-by-big product per term.  It uses no L, E_m or binomials.
+:func:`consistency_residual` checks the identity on the stored c_m as
+literal rationals.  It sums the same terms by Horner's rule, over its own
+common multiple, so it catches entries corrupted after the build; it is
+not an independent route.  Those are the Bernoulli numbers for the c_k
+(:mod:`zeta2k.bernoulli`), the cosine and b-product identities behind
+the recursion and the quadrature oracle (:mod:`zeta2k.fourier`), and the
+direct sum for zeta(2k) (:mod:`zeta2k.precision`).
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial, lcm
-from operator import add, is_, mul
+from math import factorial, lcm
+from operator import is_
 
 from .exact import _num_den_row, _table_text
 
@@ -85,34 +84,31 @@ class ZetaCoeffTable:
             c = self._coeffs
             if new_max_k <= len(c):
                 return
-            scale = lcm(*range(1, 2 * new_max_k + 2))  # L
-            # signed[m-1] = (-1)^(m-1) * E_m, so the row sums need no signs
-            signed = []
+            lcm_all = lcm(*range(1, 2 * new_max_k + 2))  # L
+            scale = lcm_all * factorial(2 * new_max_k)  # Lambda
+            scaled = []  # P_m = Lambda * c_m
             fact = 1  # (2m)!
             for m, q in enumerate(c, start=1):
                 fact *= (2 * m - 1) * (2 * m)
-                multiple, rem = divmod(scale * fact, q.denominator)
-                if rem:
+                if lcm_all * fact % q.denominator:
                     raise ArithmeticError(f"c_{m} is not a zeta coefficient")
-                e_m = q.numerator * multiple
-                signed.append(e_m if m % 2 else -e_m)
+                scaled.append(q.numerator * (scale // q.denominator))
             start = len(c) + 1
-            half = [comb(2 * start - 1, j) for j in range(start)]
+            fact = factorial(2 * start - 1)  # (2k+1)! once k = start
+            # (2j+1)(2j) for j = 1 .. new_max_k-1: the ratio of g_(k-j+1) to g_(k-j)
+            steps = [(2 * j + 1) * (2 * j) for j in range(1, new_max_k)]
             for k in range(start, new_max_k + 1):
-                # half = C(2k-1, 0..k-1), and C(2k-1, k) = C(2k-1, k-1): two
-                # Pascal steps give C(n, 0..k), the lower half of row n = 2k+1
-                half = [1, *map(add, half, half[1:]), 2 * half[k - 1]]
-                half = [1, *map(add, half, half[1:])]
-                n = 2 * k + 1
-                # C(n, 2m) for m = 1 .. k-1: the even entries of the half row,
-                # then the rest mirrored, since C(n, 2m) = C(n, n-2m)
-                binoms = half[2 : k + 1 : 2] + half[n - 2 * (k // 2 + 1) : 2 : -2]
-                e_k, rem = divmod(k * scale - sum(map(mul, binoms, signed)), n)
+                fact *= 2 * k * (2 * k + 1)
+                acc = 0
+                for p, f in zip(reversed(scaled), steps):
+                    acc = p - f * acc
+                p_k, rem = divmod(k * scale - (2 * k + 1) * (2 * k) * acc, fact)
                 if rem:
-                    raise ArithmeticError(f"E_{k} is not an integer")
-                signed.append(e_k)
-                fact *= (2 * k - 1) * (2 * k)
-                c.append(Fraction(e_k if k % 2 else -e_k, scale * fact))
+                    raise ArithmeticError(f"P_{k} is not an integer")
+                if not k % 2:
+                    p_k = -p_k
+                scaled.append(p_k)
+                c.append(Fraction(p_k, scale))
 
     def coeff(self, k: int) -> Fraction:
         """Return c_k, growing the table if k exceeds max_k."""
@@ -149,8 +145,8 @@ def consistency_residual(table: ZetaCoeffTable, k: int) -> Fraction:
     small-by-big products; Lambda and P are kept per table (see
     :func:`_scaled_coeffs`).  The result is the same reduced rational as
     the sum of the fractions themselves: only the common multiple differs.
-    Nothing of the table's own integer recursion (L, E_m, binomials) is
-    used, so the check stays independent of it.
+    :meth:`ZetaCoeffTable.extend` sums these terms by Horner's rule too; the
+    two stay separate code, so that one fault cannot zero every residual.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -326,7 +326,7 @@ _CAPS = [
 ]
 
 
-@pytest.mark.parametrize("flag,cap,rest", _CAPS)
+@pytest.mark.parametrize("flag,cap,rest", _CAPS, ids=[flag[0] for flag, _, _ in _CAPS])
 def test_table_sizes_past_the_cap_are_refused_before_any_work(capsys, monkeypatch, flag, cap, rest):
     def refuse(*args, **kwargs):
         raise AssertionError("a table was built for a refused input")
@@ -357,6 +357,8 @@ _LONG = "0" * 5000  # 5001-digit arguments are past Python's int->str limit
         (["eval", "-k", "2", "-d", "1" + _LONG], "must have at most 4300 digits, got "),
         (["coeff", "-k", "x" + _LONG], "is not an integer"),
     ],
+    # the cap's value stays out of the ids, so moving the cap renames no test
+    ids=lambda value: value.replace(str(cli._MAX_K), "_MAX_K") if isinstance(value, str) else None,
 )
 def test_integers_past_the_int_to_str_limit_are_refused_briefly(capsys, monkeypatch, argv, refusal):
     def refuse(*args, **kwargs):

@@ -109,8 +109,8 @@ def test_growing_in_uneven_steps_matches_fresh_table():
 
 
 def test_growing_from_odd_and_even_sizes_matches_fresh_table():
-    # each extend seeds its half Pascal row with math.comb at the table's
-    # current size, here odd and even sizes alike
+    # each extend rescales the stored entries to the new Lambda = L * (2K)!
+    # from the table's current size, here odd and even sizes alike
     table = ZetaCoeffTable(6)
     for step in (7, 8, 41, 150):
         table.extend(step)
@@ -122,6 +122,39 @@ def test_extending_a_table_of_non_coefficients_raises():
     table._coeffs[2] += Fraction(1, 10**6)
     with pytest.raises(ArithmeticError):
         table.extend(12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=150),
+    st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=5),
+)
+def test_growing_in_random_steps_matches_fresh_table(size, steps):
+    # Lambda = lcm(1..2K+1) * (2K)! changes with every growth, so the stored
+    # entries are rescaled at arbitrary sizes, odd and even
+    table = ZetaCoeffTable(size)
+    for step in steps:
+        table.extend(step)
+    assert table.coeffs == ZetaCoeffTable(max(size, *steps)).coeffs
+
+
+@pytest.mark.parametrize(
+    "size,new_max_k,m,delta", [(5, 12, 3, Fraction(1, 10**6)), (5, 10, 1, Fraction(1, 49))]
+)
+def test_growth_refuses_entries_that_are_not_zeta_coefficients(size, new_max_k, m, delta):
+    from math import factorial, lcm
+
+    table = ZetaCoeffTable(size)
+    table._coeffs[m - 1] += delta
+    before = table.coeffs
+    bad = before[m - 1]
+    # Lambda * c_m is still an integer, L * (2m)! * c_m is not
+    lcm_all = lcm(*range(1, 2 * new_max_k + 2))
+    assert (lcm_all * factorial(2 * new_max_k) * bad).denominator == 1
+    assert (lcm_all * factorial(2 * m) * bad).denominator != 1
+    with pytest.raises(ArithmeticError, match=f"c_{m} is not a zeta coefficient"):
+        table.extend(new_max_k)
+    assert table.coeffs == before
 
 
 def test_shared_table_grows_safely_under_concurrent_readers():
