@@ -45,6 +45,7 @@ class _StderrFailure(Exception):
 _MAX_K = 2000
 _MAX_VERIFY_K = 1200
 _MAX_BERNOULLI_INDEX = 2500
+_MAX_BENCH_K = _MAX_BERNOULLI_INDEX // 2
 
 
 # what int() accepts: optional sign, decimal digits, single underscores
@@ -103,13 +104,19 @@ _bernoulli_index = _int_at_least(
     _MAX_BERNOULLI_INDEX,
     f"the recurrence grows about M^4 and M={_MAX_BERNOULLI_INDEX} takes about 30 s",
 )
+_bench_k = _int_at_least(
+    1,
+    _MAX_BENCH_K,
+    f"every rep builds the Bernoulli table to index 2k, and at k={_MAX_BENCH_K} "
+    "that table alone takes about 30 s",
+)
 
 
 def _k_list(text: str) -> tuple[int, ...]:
     items = [piece for piece in text.split(",") if piece.strip()]
     if not items:
         raise argparse.ArgumentTypeError("expected a comma-separated list of k values")
-    return tuple(_positive_int(piece.strip()) for piece in items)
+    return tuple(_bench_k(piece.strip()) for piece in items)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_k_list,
         default=_DEFAULT_SWEEP,
         metavar="K1,K2,...",
-        help=f"comma-separated k values (default {','.join(map(str, _DEFAULT_SWEEP))})",
+        help=f"comma-separated k values, each <= {_MAX_BENCH_K} "
+        f"(default {','.join(map(str, _DEFAULT_SWEEP))})",
     )
     p.add_argument("--reps", type=_positive_int, default=3, metavar="R")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

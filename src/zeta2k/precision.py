@@ -11,13 +11,12 @@ Two routes to the same number:
   ``pi_digits`` prints from the same checked source.  The power is
   libmp's square and multiply: a ladder of repeated squares of pi, each
   cut to a working precision that depends only on the precision and
-  the bit length of 2k, and one multiply per set bit of 2k.  pi's
-  ladders are kept for the same 16 precisions as pi in binary, so one
-  ladder serves every k of that bit length: a sweep zeta(2)..zeta(2K)
-  at D digits squares pi about log2(2K)^2/2 times, not K*log2(2K)
-  times.  For k <= 2000 a precision holds at most 10 ladders (2k of 3
-  to 12 bits), 65 squares of about prec = 3.32 * (D + 25) bits: about
-  140 KB at D = 5200 and 2.7 MB at D = 10^5, for each of the 16.
+  the bit length of 2k, and one multiply per set bit of 2k.  Ladders are
+  memoized by value, so one ladder serves every k of that bit length: a
+  sweep zeta(2)..zeta(2K) at D digits squares pi about log2(2K)^2/2
+  times, not K*log2(2K) times.  The memo keeps the 86 ladders used most
+  recently: for k <= 2000, at most 1032 rungs of about 3.32 * (D + 25)
+  bits.
 * ``zeta_direct_sum`` sums the defining series sum(1/n^(2k)) and never
   touches a coefficient, pi or a Bernoulli number.  Plain truncation comes
   first: the cutoff N is the smallest integer with
@@ -207,28 +206,28 @@ def _mpf_pow_int(s: tuple, n: int, prec: int) -> tuple:
     if n == 1:
         return _normalize(sign, man, exp, prec)
     sign &= n  # even powers are positive
-    workprec = _workprec(bc, n, prec)
-    if not workprec:
+    if n == 2 or bc * n < 1000:  # where libmp takes the exact power
         return _normalize(sign, man**n, exp * n, prec)
+    workprec = prec + 4 * n.bit_length() + 4
     ladder = _ladder(man, exp, n.bit_length() - 1, workprec)
     return _ladder_power(sign, ladder, n, workprec, prec)
 
 
-def _workprec(bc: int, n: int, prec: int) -> int:
-    """Working bits of libmp's square and multiply for a bc-bit base and n >= 2.
-
-    0 where libmp takes the exact power instead: n == 2 or bc * n < 1000.
-    """
-    if n == 2 or bc * n < 1000:
-        return 0
-    return prec + 4 * n.bit_length() + 4
+# ladders memoized, the least recently used dropped first
+_LADDERS = 86
 
 
+@lru_cache(maxsize=_LADDERS)
 def _ladder(man: int, exp: int, steps: int, workprec: int) -> tuple:
     """(man, exp) and its next ``steps`` squares, each cut to workprec bits.
 
     Rung i is the base to the power 2**i as the square-and-multiply loop
     holds it; it depends on n only through workprec and the rung count.
+    Memoized by value: pi's mantissa is one shared object per precision,
+    so a repeat costs a hash of the arguments.  For pi^(2k) with
+    k <= 2000 (every ``eval -k``) a ladder has at most 12 rungs, the base
+    and 11 squares, so the _LADDERS = 86 kept hold at most 1032 ints of
+    about workprec bits: 2.2 MB at D = 5200 digits, 43 MB at D = 10^5.
     """
     rungs = [(man, exp)]
     for _ in range(steps):
@@ -342,15 +341,11 @@ def pi_value(cfg: PrecisionConfig) -> HighPrecReal:
     longest checked pi so far covers is sliced from it, bit-identical to
     a fresh run.  The raw mpf is shared between calls.
     """
-    return HighPrecReal(digits=cfg.digits, value=_pi_mpf(*_pi_precision(cfg)))
+    value = _pi_mpf(cfg.digits + cfg.guard, cfg.digits + 2 * cfg.guard)
+    return HighPrecReal(digits=cfg.digits, value=value)
 
 
-def _pi_precision(cfg: PrecisionConfig) -> tuple[int, int]:
-    """(checked, computed) fractional digits of the pi that cfg asks for."""
-    return cfg.digits + cfg.guard, cfg.digits + 2 * cfg.guard
-
-
-# pi is kept in binary, and its ladders, for this many precisions (d1, d2)
+# pi is kept in binary for this many precisions (d1, d2)
 _PI_PRECISIONS = 16
 
 
@@ -358,31 +353,6 @@ _PI_PRECISIONS = 16
 def _pi_mpf(d1: int, d2: int) -> tuple:
     # raw mpf of pi_scaled / 10**d2 at d2+10 digits; both ints fit that exactly
     return _quotient(_pi_checked(d1, d2), 10**d2, _dps_to_prec(d2 + 10))
-
-
-# pi's ladders by precision: (d1, d2) -> ((workprec, ladder), ...).  An
-# entry is a tuple replaced whole under the lock, so a lookup needs no
-# lock and concurrent misses cost only duplicate work.  The precision
-# extended least recently is dropped past _PI_PRECISIONS.
-_pi_ladders: dict[tuple[int, int], tuple] = {}
-_pi_ladders_lock = threading.Lock()
-
-
-def _pi_ladder(d1: int, d2: int, steps: int, workprec: int) -> tuple:
-    """_ladder of pi at precision (d1, d2), cached; steps is fixed by workprec."""
-    for cached_workprec, ladder in _pi_ladders.get((d1, d2), ()):
-        if cached_workprec == workprec:
-            return ladder
-    _, man, exp, _ = _pi_mpf(d1, d2)
-    ladder = _ladder(man, exp, steps, workprec)
-    with _pi_ladders_lock:
-        entry = _pi_ladders.pop((d1, d2), ())
-        if all(cached_workprec != workprec for cached_workprec, _ in entry):
-            entry += ((workprec, ladder),)
-        _pi_ladders[d1, d2] = entry
-        if len(_pi_ladders) > _PI_PRECISIONS:
-            del _pi_ladders[next(iter(_pi_ladders))]
-    return ladder
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +370,7 @@ def zeta_eval(k: int, cfg: PrecisionConfig, c_k: Fraction) -> HighPrecReal:
     # a small buffer past digits+guard so the guard digits are themselves
     # clean; the power loses only ~log10(2k) digits
     prec = _dps_to_prec(cfg.digits + cfg.guard + 10)
-    # _mpf_pow_int(pi, 2k, prec), with pi's squares shared by every k
-    n = 2 * k
-    workprec = _workprec(pi[3], n, prec)
-    if workprec:
-        ladder = _pi_ladder(*_pi_precision(cfg), n.bit_length() - 1, workprec)
-        power = _ladder_power(0, ladder, n, workprec, prec)
-    else:
-        power = _mpf_pow_int(pi, n, prec)
+    power = _mpf_pow_int(pi, 2 * k, prec)
     value = _mpf_mul(_quotient(c_k.numerator, c_k.denominator, prec), power, prec)
     return HighPrecReal(digits=cfg.digits, value=value)
 

@@ -344,6 +344,26 @@ def test_table_sizes_past_the_cap_are_refused_before_any_work(capsys, monkeypatc
     assert code == 0 and f"<= {cap}" in out
 
 
+def test_bench_k_past_the_cap_is_refused_before_any_work(capsys, monkeypatch):
+    from zeta2k import bench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused input was benchmarked")
+
+    monkeypatch.setattr(bench, "bench_compare", refuse)
+    cap = cli._MAX_BENCH_K
+    assert cap == cli._MAX_BERNOULLI_INDEX // 2
+    for too_big in (cap + 1, 10**7, 10**4000):
+        code, out, err = run(capsys, ["bench", "--k-list", f"2,{too_big}", "--reps", "1"])
+        assert (code, out) == (2, "")
+        assert f"must be <= {cap}, got {too_big}: " in err
+        assert err.rstrip().endswith("takes about 30 s")
+    # the cap itself parses, and the help states it
+    assert cli.build_parser().parse_args(["bench", "--k-list", f"1,{cap}"]).k_list == (1, cap)
+    code, out, _ = run(capsys, ["bench", "-h"])
+    assert code == 0 and f"<= {cap}" in out
+
+
 _LONG = "0" * 5000  # 5001-digit arguments are past Python's int->str limit
 
 

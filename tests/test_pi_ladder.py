@@ -1,12 +1,13 @@
-"""zeta_eval's cached ladders of pi squares against libmp's uncached power.
+"""zeta_eval's memoized ladders of pi squares against libmp's uncached power.
 
-``zeta_eval`` computes pi^(2k) as ``_mpf_pow_int`` does, but takes the
-repeated squares of pi from a cache kept per precision, so one ladder
-serves every k.  Whatever the order of requests and the state of the
-caches, the result must be libmp's ``mpf_mul(c_k, mpf_pow_int(pi, 2k))``
-bit for bit.
+``zeta_eval`` computes pi^(2k) with ``_mpf_pow_int``, whose ladder of
+repeated squares is memoized by value, so one ladder serves every k of
+the same bit length at one precision.  Whatever the order of requests
+and the state of the caches, the result must be libmp's
+``mpf_mul(c_k, mpf_pow_int(pi, 2k))`` bit for bit.
 """
 
+import inspect
 import random
 import sys
 import threading
@@ -27,16 +28,15 @@ GRID = [(k, d) for k in KS for d in DIGITS]
 
 @pytest.fixture
 def cold_pi_caches():
-    """Cold pi and ladder caches for the test; the process-wide ones are put back after."""
-    saved_pi, saved_ladders = precision._pi_cache, dict(precision._pi_ladders)
+    """Cold pi and ladder caches for the test; the checked pi is put back after."""
+    saved_pi = precision._pi_cache
     precision._pi_cache = (0, 0, 3)
     precision._pi_mpf.cache_clear()
-    precision._pi_ladders.clear()
+    precision._ladder.cache_clear()
     yield
     precision._pi_cache = saved_pi
     precision._pi_mpf.cache_clear()
-    precision._pi_ladders.clear()
-    precision._pi_ladders.update(saved_ladders)
+    precision._ladder.cache_clear()
 
 
 @lru_cache(maxsize=None)
@@ -66,6 +66,10 @@ def evaluate(k: int, digits: int) -> tuple:
     return zeta_eval(k, PrecisionConfig(digits=digits), coeff(k)).value._mpf_
 
 
+def ladder_misses() -> int:
+    return precision._ladder.cache_info().misses
+
+
 def test_coefficients_match_known_values():
     assert [coeff(k) for k in (1, 2, 3, 6)] == [
         Fraction(1, 6), Fraction(1, 90), Fraction(1, 945), Fraction(691, 638512875)
@@ -83,9 +87,13 @@ def test_zeta_eval_equals_libmp_power(cold_pi_caches, order, start):
     if start == "warm":
         for k, d in random.Random(41).sample(GRID, len(GRID)):
             evaluate(k, d)
-        assert len(precision._pi_ladders) == len(DIGITS)
+        # the warm pass built each ladder once and kept all of them
+        assert precision._ladder.cache_info().currsize == ladder_misses()
+    misses = ladder_misses()
     for k, d in grid:
         assert evaluate(k, d) == expected(k, d), (k, d)
+    if start == "warm":
+        assert ladder_misses() == misses
 
 
 def test_one_ladder_per_working_precision(cold_pi_caches):
@@ -93,22 +101,52 @@ def test_one_ladder_per_working_precision(cold_pi_caches):
     # with a single set bit; 2k = 8 and 14 share the 4-rung ladder
     for k in (5, 30, 16, 4, 7):
         assert evaluate(k, 4300) == expected(k, 4300), k
-    (entry,) = precision._pi_ladders.values()
-    assert sorted(len(ladder) for _, ladder in entry) == [4, 6]
-    assert len({workprec for workprec, _ in entry}) == len(entry)
+    assert precision._ladder.cache_info().currsize == ladder_misses() == 2
 
 
-def test_cache_stays_within_its_bound_of_precisions(cold_pi_caches):
-    bound = precision._PI_PRECISIONS
-    levels = [40 + 7 * i for i in range(bound + 6)]
+def test_cache_stays_within_its_bound_of_ladders(cold_pi_caches):
+    bound = precision._LADDERS
+    # three ladders per level (2k of 3, 6 and 9 bits), more than the bound
+    levels = [40 + 7 * i for i in range(bound // 3 + 6)]
+    uses = [(k, d) for d in levels for k in (3, 30, 200)]
     for round_ in range(2):
-        for d in levels:
-            for k in (3, 30, 200):
-                assert evaluate(k, d) == expected(k, d), (round_, k, d)
-            assert len(precision._pi_ladders) <= bound
-    # the most recently extended precisions are the ones kept
-    kept = [key[0] - 15 for key in precision._pi_ladders]
-    assert kept == levels[-bound:]
+        for k, d in uses:
+            assert evaluate(k, d) == expected(k, d), (round_, k, d)
+            assert precision._ladder.cache_info().currsize <= bound
+    assert ladder_misses() == 2 * len(uses)
+    # the most recently used ladders are the ones kept, and the one before
+    # them is gone; pi at the early levels is recomputed, equal by value
+    misses = ladder_misses()
+    for k, d in uses[-bound:]:
+        evaluate(k, d)
+    assert ladder_misses() == misses
+    evaluate(*uses[-bound - 1])
+    assert ladder_misses() == misses + 1
+
+
+def test_a_precision_used_between_others_builds_its_ladder_once(cold_pi_caches):
+    # D = 1000 used before each of 100 other precisions, more than the
+    # ladders kept: what was used least recently is dropped, not what was
+    # built least recently
+    target = pi_value(PrecisionConfig(digits=1000))._raw[1]
+    want = expected(30, 1000)
+    ladder = inspect.unwrap(precision._ladder).__code__
+    builds = []
+
+    def count_builds(frame, event, arg):
+        if event == "call" and frame.f_code is ladder:
+            builds.append(frame.f_locals["man"] == target)
+
+    sys.setprofile(count_builds)
+    try:
+        for d in range(41, 141):
+            value = evaluate(30, 1000)
+            evaluate(30, d)
+            assert value == want, d
+    finally:
+        sys.setprofile(None)
+    assert builds.count(True) == 1
+    assert len(builds) == 101
 
 
 def test_threads_at_mixed_precision_get_serial_values(cold_pi_caches):
@@ -140,6 +178,10 @@ def test_threads_at_mixed_precision_get_serial_values(cold_pi_caches):
         assert len(got) == 2 * len(levels) * len(ks)
         for k, d, value in got:
             assert value == serial[k, d], (k, d)
-    assert len(precision._pi_ladders) == len(levels)
-    for entry in precision._pi_ladders.values():
-        assert len({workprec for workprec, _ in entry}) == len(entry)
+    # concurrent misses of one ladder keep a single entry
+    threaded = precision._ladder.cache_info().currsize
+    precision._ladder.cache_clear()
+    for k in ks:
+        for d in levels:
+            evaluate(k, d)
+    assert precision._ladder.cache_info().currsize == ladder_misses() == threaded
