@@ -46,6 +46,13 @@ _MAX_K = 2000
 _MAX_VERIFY_K = 1200
 _MAX_BERNOULLI_INDEX = 2500
 _MAX_BENCH_K = _MAX_BERNOULLI_INDEX // 2
+# eval's digits: pi's two Chudnovsky runs and the power grow about D^1.9
+# (cold eval -k 10 -d 50000, 100000, 200000, 400000: 0.63, 1.9, 7.5, 28 s)
+_MAX_DIGITS = 400_000
+# bench's total work: every rep of every k builds the Bernoulli table to
+# index 2k, about (2k)^4, so a run costs about reps * sum((2k)^4); the
+# budget is the largest single k at the default 3 reps, about 110 s
+_BENCH_BUDGET = 3 * (2 * _MAX_BENCH_K) ** 4
 
 
 # what int() accepts: optional sign, decimal digits, single underscores
@@ -104,6 +111,9 @@ _bernoulli_index = _int_at_least(
     _MAX_BERNOULLI_INDEX,
     f"the recurrence grows about M^4 and M={_MAX_BERNOULLI_INDEX} takes about 30 s",
 )
+_eval_digits = _int_at_least(
+    1, _MAX_DIGITS, f"the time grows about D^1.9 and D={_MAX_DIGITS} takes about 30 s"
+)
 _bench_k = _int_at_least(
     1,
     _MAX_BENCH_K,
@@ -144,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_output(sub.add_parser("eval", help="print zeta(2k) to D digits"))
     p.add_argument("-k", type=_table_k, required=True, metavar="K",
                    help=f"1 <= K <= {_MAX_K}")
-    p.add_argument("-d", "--digits", type=_positive_int, required=True, metavar="D")
+    p.add_argument("-d", "--digits", type=_eval_digits, required=True, metavar="D",
+                   help=f"1 <= D <= {_MAX_DIGITS}; the time grows about D^1.9")
     p.set_defaults(func=_cmd_eval)
 
     p = with_output(
@@ -187,9 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated k values, each <= {_MAX_BENCH_K} "
         f"(default {','.join(map(str, _DEFAULT_SWEEP))})",
     )
-    p.add_argument("--reps", type=_positive_int, default=3, metavar="R")
+    p.add_argument("--reps", type=_positive_int, default=3, metavar="R",
+                   help=f"repetitions per k (default 3); R times the sum of (2k)^4 "
+                   f"must be <= 3*{2 * _MAX_BENCH_K}^4")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, usage_error=p.error)
 
     return parser
 
@@ -340,6 +353,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "bench" and (
+            args.reps * sum((2 * k) ** 4 for k in args.k_list) > _BENCH_BUDGET
+        ):
+            args.usage_error(
+                f"--reps times the sum of (2k)^4 over --k-list must be <= "
+                f"3*{2 * _MAX_BENCH_K}^4: every rep builds the Bernoulli table to "
+                f"index 2k, which grows about (2k)^4, and --k-list {_MAX_BENCH_K} "
+                "with 3 reps takes about 110 s"
+            )
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -4,11 +4,10 @@ Two routes to the same number:
 
 * ``zeta_eval`` multiplies an exact coefficient c_k by pi^(2k), with pi
   computed in-house (Chudnovsky binary splitting over plain integers) and
-  self-checked by a second run at a higher guard level.  The check runs
-  once per precision per process: the longest checked pi so far is kept
-  and shorter requests are sliced from it, bit-identical to a fresh run,
-  so repeated evaluations pay for the power and the rendering only.
-  ``pi_digits`` prints from the same checked source.  The power is
+  self-checked by a second run at a higher guard level.  Checked pi is
+  memoized in binary for the 16 most recent precisions, so repeated
+  evaluations pay for the power and the rendering only.  ``pi_digits``
+  prints from its own checked pair of runs.  The power is
   libmp's square and multiply: a ladder of repeated squares of pi, each
   cut to a working precision that depends only on the precision and
   the bit length of 2k, and one multiply per set bit of 2k.  Ladders are
@@ -39,7 +38,6 @@ imported only when a result's ``value`` is first read.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -105,11 +103,14 @@ class _LazyMpf:
 class HighPrecReal:
     """An arbitrary-precision value tagged with its requested digit count.
 
-    ``value`` reads as an ``mpmath.mpf`` carrying comfortably more than
-    ``digits`` digits.  It may be given as an mpf, as anything ``mp.mpf``
-    takes, or as a raw mpf tuple, which is how ``zeta_eval``, ``pi_value``
-    and ``zeta_direct_sum`` return it: the mpf, and the mpmath import, then
-    wait for the first read of ``value``.
+    ``value`` carries comfortably more than ``digits`` digits.  It may be
+    given as an ``mpmath.mpf``, which reads back as itself; as a raw mpf
+    tuple, which is how ``zeta_eval``, ``pi_value`` and ``zeta_direct_sum``
+    return it and which reads as an mpf built on the first read of
+    ``value`` (the mpmath import waits for it too); or as an int, float or
+    str, which reads back unchanged and which ``format_real`` renders from
+    its exact decimal value (``"0.05"`` at 1 digit prints ``0.0``, where
+    ``mp.mpf("0.05")``, a binary approximation, prints ``0.1``).
     """
 
     digits: int
@@ -227,7 +228,8 @@ def _ladder(man: int, exp: int, steps: int, workprec: int) -> tuple:
     so a repeat costs a hash of the arguments.  For pi^(2k) with
     k <= 2000 (every ``eval -k``) a ladder has at most 12 rungs, the base
     and 11 squares, so the _LADDERS = 86 kept hold at most 1032 ints of
-    about workprec bits: 2.2 MB at D = 5200 digits, 43 MB at D = 10^5.
+    about workprec bits: 2.2 MB at D = 5200 digits, 43 MB at D = 10^5 and
+    171 MB at D = 4*10^5, the ``eval -d`` cap.
     """
     rungs = [(man, exp)]
     for _ in range(steps):
@@ -290,34 +292,18 @@ def _pi_scaled(frac_digits: int) -> int:
     return (q * 426880 * root // t) // 10**10
 
 
-# The largest checked pi so far: (c1, c2, floor(pi * 10**c2)), whose first
-# c1 fractional digits two Chudnovsky runs of different lengths agreed on.
-# Replaced whole, under the lock, and only by a longer one.
-_pi_cache: tuple[int, int, int] = (0, 0, 3)
-_pi_cache_lock = threading.Lock()
-
-
 def _pi_checked(d1: int, d2: int) -> int:
-    """floor(pi * 10**d2), with at least its first d1 < d2 digits cross-checked.
+    """floor(pi * 10**d2), with its first d1 < d2 digits cross-checked.
 
-    Served by slicing the cache when it covers both lengths.  Otherwise
-    pi is computed to d1 and to d2 fractional digits, the two runs must
-    agree on the first d1, and the result replaces a shorter cache.
+    pi is computed to d1 and to d2 fractional digits, and the two runs
+    must agree on the first d1.
     """
-    global _pi_cache
-    c1, c2, scaled = _pi_cache
-    if d1 <= c1 and d2 <= c2:
-        return scaled // 10 ** (c2 - d2)
     first = _pi_scaled(d1)
     second = _pi_scaled(d2)
     if second // 10 ** (d2 - d1) != first:
         raise RuntimeError(
             f"pi self-check failed: {d1}- and {d2}-digit runs disagree"
         )
-    with _pi_cache_lock:
-        c1, c2, _ = _pi_cache
-        if (d2, d1) > (c2, c1):
-            _pi_cache = (d1, d2, second)
     return second
 
 
@@ -337,9 +323,8 @@ def pi_value(cfg: PrecisionConfig) -> HighPrecReal:
     """pi to digits+2*guard, its first digits+guard digits cross-checked.
 
     The check (two Chudnovsky runs, at digits+guard and digits+2*guard,
-    must agree) runs once per precision per process: a request that the
-    longest checked pi so far covers is sliced from it, bit-identical to
-    a fresh run.  The raw mpf is shared between calls.
+    must agree) runs once per precision while that precision is among the
+    16 most recently used: the raw mpf is memoized and shared between calls.
     """
     value = _pi_mpf(cfg.digits + cfg.guard, cfg.digits + 2 * cfg.guard)
     return HighPrecReal(digits=cfg.digits, value=value)

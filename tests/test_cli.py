@@ -318,15 +318,16 @@ def test_coeff_beyond_the_int_to_str_limit(capsys):
 
 
 _CAPS = [
-    (["coeff", "-k"], cli._MAX_K, []),
-    (["table", "--max-k"], cli._MAX_K, []),
-    (["eval", "-k"], cli._MAX_K, ["-d", "10"]),
-    (["verify", "--max-k"], cli._MAX_VERIFY_K, []),
-    (["bernoulli", "--max-index"], cli._MAX_BERNOULLI_INDEX, []),
+    pytest.param(["coeff", "-k"], cli._MAX_K, [], id="coeff"),
+    pytest.param(["table", "--max-k"], cli._MAX_K, [], id="table"),
+    pytest.param(["eval", "-k"], cli._MAX_K, ["-d", "10"], id="eval"),
+    pytest.param(["eval", "-d"], cli._MAX_DIGITS, ["-k", "10"], id="eval-digits"),
+    pytest.param(["verify", "--max-k"], cli._MAX_VERIFY_K, [], id="verify"),
+    pytest.param(["bernoulli", "--max-index"], cli._MAX_BERNOULLI_INDEX, [], id="bernoulli"),
 ]
 
 
-@pytest.mark.parametrize("flag,cap,rest", _CAPS, ids=[flag[0] for flag, _, _ in _CAPS])
+@pytest.mark.parametrize("flag,cap,rest", _CAPS)
 def test_table_sizes_past_the_cap_are_refused_before_any_work(capsys, monkeypatch, flag, cap, rest):
     def refuse(*args, **kwargs):
         raise AssertionError("a table was built for a refused input")
@@ -364,6 +365,37 @@ def test_bench_k_past_the_cap_is_refused_before_any_work(capsys, monkeypatch):
     assert code == 0 and f"<= {cap}" in out
 
 
+def test_bench_over_its_work_budget_is_refused_before_any_work(capsys, monkeypatch):
+    from zeta2k import bench
+
+    calls = []
+
+    def record(k_list, reps):
+        calls.append((k_list, reps))
+        return bench.BenchReport(rows=())
+
+    monkeypatch.setattr(bench, "bench_compare", record)
+    too_much = [
+        ["--k-list", "1250,1250,1250", "--reps", "100"],
+        ["--k-list", "1250", "--reps", "4"],
+        ["--k-list", "1250,1", "--reps", "3"],
+        ["--k-list", "2", "--reps", "1" + "0" * 4000],
+    ]
+    for argv in too_much:
+        code, out, err = run(capsys, ["bench", *argv])
+        assert (code, out) == (2, ""), argv
+        assert "must be <= 3*2500^4: " in err
+        assert err.rstrip().endswith("takes about 110 s")
+    assert calls == []
+    # one k up to the cap with up to 3 reps, and the default sweep, run
+    header = ",".join(bench._BENCH_HEADER) + "\n"
+    for argv in (["--k-list", "1250"], ["--k-list", "1", "--reps", "3"], []):
+        assert run(capsys, ["bench", *argv]) == (0, header, "")
+    assert calls == [((cli._MAX_BENCH_K,), 3), ((1,), 3), (bench.DEFAULT_SWEEP, 3)]
+    code, out, _ = run(capsys, ["bench", "-h"])
+    assert code == 0 and "<= 3*2500^4" in out
+
+
 _LONG = "0" * 5000  # 5001-digit arguments are past Python's int->str limit
 
 
@@ -374,11 +406,16 @@ _LONG = "0" * 5000  # 5001-digit arguments are past Python's int->str limit
         (["table", "--max-k", "+1" + _LONG], f"must be <= {cli._MAX_K}, got "),
         (["coeff", "-k", "-1" + _LONG], "must be >= 1, got "),
         (["bernoulli", "--max-index", "-1" + _LONG], "must be >= 0, got "),
-        (["eval", "-k", "2", "-d", "1" + _LONG], "must have at most 4300 digits, got "),
+        (["bench", "--reps", "1" + _LONG], "must have at most 4300 digits, got "),
         (["coeff", "-k", "x" + _LONG], "is not an integer"),
+        (["eval", "-k", "2", "-d", "1" + _LONG], f"must be <= {cli._MAX_DIGITS}, got "),
     ],
-    # the cap's value stays out of the ids, so moving the cap renames no test
-    ids=lambda value: value.replace(str(cli._MAX_K), "_MAX_K") if isinstance(value, str) else None,
+    # the caps' values stay out of the ids, so moving a cap renames no test
+    ids=lambda value: (
+        value.replace(str(cli._MAX_K), "_MAX_K").replace(str(cli._MAX_DIGITS), "_MAX_DIGITS")
+        if isinstance(value, str)
+        else None
+    ),
 )
 def test_integers_past_the_int_to_str_limit_are_refused_briefly(capsys, monkeypatch, argv, refusal):
     def refuse(*args, **kwargs):

@@ -28,13 +28,10 @@ GRID = [(k, d) for k in KS for d in DIGITS]
 
 @pytest.fixture
 def cold_pi_caches():
-    """Cold pi and ladder caches for the test; the checked pi is put back after."""
-    saved_pi = precision._pi_cache
-    precision._pi_cache = (0, 0, 3)
+    """Cold pi and ladder caches for the test, and again after it."""
     precision._pi_mpf.cache_clear()
     precision._ladder.cache_clear()
     yield
-    precision._pi_cache = saved_pi
     precision._pi_mpf.cache_clear()
     precision._ladder.cache_clear()
 

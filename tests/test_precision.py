@@ -272,6 +272,19 @@ def test_format_real_scientific_carry():
         assert format_real(HighPrecReal(2, mp.mpf("0.00009999"))) == "1.00e-04"
 
 
+def test_plain_values_read_back_unchanged_and_render_exactly():
+    # an int, float or str is kept as given, not turned into an mpf
+    for given in ("0.05", "-2.5", 0.05, 7):
+        value = HighPrecReal(1, given).value
+        assert type(value) is type(given) and value == given
+    # and rendered from its exact decimal value, not a binary approximation
+    assert format_real(HighPrecReal(1, "0.05")) == "0.0"
+    assert format_real(HighPrecReal(1, 0.05)) == "0.1"  # 0.05000000000000000277...
+    assert format_real(HighPrecReal(1, 7)) == "7.0"
+    with mp.workdps(15):
+        assert format_real(HighPrecReal(1, mp.mpf("0.05"))) == "0.1"
+
+
 def test_pi_digits_and_scientific_format_beyond_the_int_to_str_limit():
     from zeta2k.precision import pi_digits
 
@@ -294,12 +307,9 @@ def _fresh_pi(cfg):
 
 @pytest.fixture
 def cold_pi_cache():
-    """A cold pi cache for the test; the process-wide one is put back after."""
-    saved = precision._pi_cache
-    precision._pi_cache = (0, 0, 3)
+    """A cold pi cache for the test, and again after it."""
     precision._pi_mpf.cache_clear()
     yield
-    precision._pi_cache = saved
     precision._pi_mpf.cache_clear()
 
 
@@ -334,32 +344,35 @@ def test_pi_self_check_failure_raises(monkeypatch, cold_pi_cache, corrupt):
     with pytest.raises(RuntimeError, match="self-check failed"):
         pi_digits(d1)  # the same pair of runs: 55 and 55+15
     # a failed check caches nothing
-    assert precision._pi_cache == (0, 0, 3)
+    assert precision._pi_mpf.cache_info().currsize == 0
     monkeypatch.setattr(precision, "_pi_scaled", _pi_scaled)
     assert pi_value(cfg).value._mpf_ == _fresh_pi(cfg)
 
 
 def test_pi_cache_slices_smaller_requests(chudnovsky_runs):
+    """A smaller request than a cached one runs its own checked pair."""
     pi_value(PrecisionConfig(digits=400))
     assert chudnovsky_runs == [415, 430]
     chudnovsky_runs.clear()
+    pi_value(PrecisionConfig(digits=400))
+    assert chudnovsky_runs == []  # a repeat is served by the memo
     for digits in (385, 50, 1, 100):
         cfg = PrecisionConfig(digits=digits)
         assert pi_value(cfg).value._mpf_ == _fresh_pi(cfg), digits
+    assert chudnovsky_runs == [400, 415, 65, 80, 16, 31, 115, 130]
+    chudnovsky_runs.clear()
     assert pi_digits(415) == f"3.{str(_pi_scaled(415))[1:]}"
-    assert chudnovsky_runs == []
+    assert chudnovsky_runs == [415, 430]  # pi_digits is not memoized
 
 
 def test_pi_cache_larger_request_reruns_both_lengths(chudnovsky_runs):
     pi_value(PrecisionConfig(digits=100))
     pi_value(PrecisionConfig(digits=300))
     assert chudnovsky_runs == [115, 130, 315, 330]
-    assert precision._pi_cache[:2] == (315, 330)
     chudnovsky_runs.clear()
     pi_value(PrecisionConfig(digits=100))
-    pi_digits(316)  # needs 316 checked digits, the cache has 315
+    pi_digits(316)  # a memo hit, then pi_digits runs its own pair
     assert chudnovsky_runs == [316, 331]
-    assert precision._pi_cache[:2] == (316, 331)
 
 
 def test_pi_cache_serves_only_checked_digits(chudnovsky_runs):
@@ -368,7 +381,6 @@ def test_pi_cache_serves_only_checked_digits(chudnovsky_runs):
     cfg = PrecisionConfig(digits=250)  # wants 265 checked of 280
     assert pi_value(cfg).value._mpf_ == _fresh_pi(cfg)
     assert chudnovsky_runs == [200, 300, 265, 280]
-    assert precision._pi_cache[:2] == (200, 300)  # not replaced by a shorter one
 
 
 def test_pi_cache_threads_get_cold_identical_values(cold_pi_cache):
@@ -381,7 +393,7 @@ def test_pi_cache_threads_get_cold_identical_values(cold_pi_cache):
         for _ in range(3):
             for d in order:
                 results[i].append((d, pi_value(PrecisionConfig(digits=d)).value._mpf_))
-            precision._pi_mpf.cache_clear()  # make later rounds reach the cache
+            precision._pi_mpf.cache_clear()  # make later rounds run the check again
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -398,8 +410,6 @@ def test_pi_cache_threads_get_cold_identical_values(cold_pi_cache):
         assert len(got) == 3 * len(levels)
         for d, value in got:
             assert value == expected[d], d
-    # no lost update: the longest request ever checked is the one cached
-    assert precision._pi_cache[:2] == (5215, 5230)
 
 
 def _eval_with_mp_context(k, cfg, c_k):
