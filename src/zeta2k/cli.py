@@ -53,6 +53,22 @@ _MAX_DIGITS = 400_000
 # index 2k, about (2k)^4, so a run costs about reps * sum((2k)^4); the
 # budget is the largest single k at the default 3 reps, about 110 s
 _BENCH_BUDGET = 3 * (2 * _MAX_BENCH_K) ** 4
+# fourier runs one quadrature per (k, n), and its precision and panels grow
+# with both (cold -k 20, 40, 60, 70 -n 1: 0.68, 2.2, 9.8, 14.2 s; -k 40 -n 1,
+# 8, 16, 20: 2.2, 10.5, 22.3, 31.7 s), so each flag is capped at that corner
+_MAX_FOURIER_K = 40
+_MAX_FOURIER_N = 20
+# eval's table and pi add (cold eval -k 1000 -d 200000: 10.1 s against 2.4
+# and 7.6 s apart; -k 2000 -d 400000: 52 s), so the pair is held to 30 s of
+# the fitted sum: 26 s at -k 2000 (cold -k 1500: 9.9 s) and 28 s at -d
+# 400000 (cold -d 200000, 300000: 7.6, 17.1 s)
+_EVAL_BUDGET_S = 30
+_EVAL_BUDGET_TEXT = f"26*(K/{_MAX_K})^3.1 + 28*(D/{_MAX_DIGITS})^1.9 <= {_EVAL_BUDGET_S}"
+
+
+def _eval_seconds(k: int, digits: int) -> float:
+    """About how long a cold eval -k K -d D runs, in seconds."""
+    return 26 * (k / _MAX_K) ** 3.1 + 28 * (digits / _MAX_DIGITS) ** 1.9
 
 
 # what int() accepts: optional sign, decimal digits, single underscores
@@ -114,6 +130,12 @@ _bernoulli_index = _int_at_least(
 _eval_digits = _int_at_least(
     1, _MAX_DIGITS, f"the time grows about D^1.9 and D={_MAX_DIGITS} takes about 30 s"
 )
+_FOURIER_WHY = (
+    "each (k, n) runs a quadrature whose precision and panels grow with both, "
+    f"and -k {_MAX_FOURIER_K} -n {_MAX_FOURIER_N} takes about 30 s"
+)
+_fourier_k = _int_at_least(1, _MAX_FOURIER_K, _FOURIER_WHY)
+_fourier_n = _int_at_least(1, _MAX_FOURIER_N, _FOURIER_WHY)
 _bench_k = _int_at_least(
     1,
     _MAX_BENCH_K,
@@ -143,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             help="write the result to PATH atomically instead of stdout",
         )
+        p.set_defaults(usage_error=p.error)
         return p
 
     p = with_output(sub.add_parser("coeff", help="print the exact coefficient c_k"))
@@ -155,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=_table_k, required=True, metavar="K",
                    help=f"1 <= K <= {_MAX_K}")
     p.add_argument("-d", "--digits", type=_eval_digits, required=True, metavar="D",
-                   help=f"1 <= D <= {_MAX_DIGITS}; the time grows about D^1.9")
+                   help=f"1 <= D <= {_MAX_DIGITS}; the time grows about D^1.9, and "
+                   f"with -k it must satisfy {_EVAL_BUDGET_TEXT} (seconds)")
     p.set_defaults(func=_cmd_eval)
 
     p = with_output(
@@ -183,10 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="compare closed/recursive/quadrature cosine coefficients as CSV",
         )
     )
-    p.add_argument("-k", type=_positive_int, required=True, metavar="K",
-                   help="sweep 1 <= k <= K")
-    p.add_argument("-n", type=_positive_int, required=True, metavar="N",
-                   help="sweep 1 <= n <= N")
+    p.add_argument("-k", type=_fourier_k, required=True, metavar="K",
+                   help=f"sweep 1 <= k <= K, K <= {_MAX_FOURIER_K}")
+    p.add_argument("-n", type=_fourier_n, required=True, metavar="N",
+                   help=f"sweep 1 <= n <= N, N <= {_MAX_FOURIER_N}; "
+                   f"-k {_MAX_FOURIER_K} -n {_MAX_FOURIER_N} takes about 30 s")
     p.set_defaults(func=_cmd_fourier)
 
     p = with_output(sub.add_parser("bench", help="time both backends"))
@@ -202,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"repetitions per k (default 3); R times the sum of (2k)^4 "
                    f"must be <= 3*{2 * _MAX_BENCH_K}^4")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_bench, usage_error=p.error)
+    p.set_defaults(func=_cmd_bench)
 
     return parser
 
@@ -361,6 +386,12 @@ def main(argv=None) -> int:
                 f"3*{2 * _MAX_BENCH_K}^4: every rep builds the Bernoulli table to "
                 f"index 2k, which grows about (2k)^4, and --k-list {_MAX_BENCH_K} "
                 "with 3 reps takes about 110 s"
+            )
+        if args.command == "eval" and _eval_seconds(args.k, args.digits) > _EVAL_BUDGET_S:
+            args.usage_error(
+                f"-k and -d must satisfy {_EVAL_BUDGET_TEXT}: the table (about K^3.1) "
+                f"and pi (about D^1.9) add, and -k {args.k} -d {args.digits} would "
+                f"take about {_eval_seconds(args.k, args.digits):.1f} s"
             )
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -23,9 +23,10 @@ over m < k is (2k+1)(2k) * acc, where acc = P_m - (2k+1-2m)(2k-2m) * acc
 for m = k-1 down to 1 (Horner's rule): every product is big by small, as
 in Brent & Harvey's tangent-number triangle (arXiv:1108.0286).  The m = k
 term has g_k = (2k+1)!, so each new P_k costs one exact division, and
-c_k = P_k / Lambda is reduced once.  A table that grows rescales its
-entries to the new Lambda.  All arithmetic is exact; pi never enters (it
-is reattached at evaluation time by :mod:`zeta2k.precision`).
+c_k = P_k / Lambda is reduced once.  A table is built once, at the size
+asked for, and never changes after that.  All arithmetic is exact; pi
+never enters (it is reattached at evaluation time by
+:mod:`zeta2k.precision`).
 
 :func:`consistency_residual` checks the identity on the stored c_m as
 literal rationals.  It sums the same terms by Horner's rule, over its own
@@ -38,7 +39,6 @@ direct sum for zeta(2k) (:mod:`zeta2k.precision`).
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import factorial, lcm
 from operator import is_
@@ -51,23 +51,38 @@ _COEFF_HEADER = ("k", "num", "den")
 
 
 class ZetaCoeffTable:
-    """Memoized table of c_1 .. c_max_k.
+    """c_1 .. c_max_k, exact, built once. Immutable after construction.
 
-    Construction is inherently sequential (c_k depends on every earlier
-    entry), so :meth:`extend` holds a lock; :meth:`coeff` and
-    :func:`consistency_residual` may grow a table shared between threads.
-    Extension reuses all existing entries, so growing a table costs
-    O(growth * max_k) integer operations rather than a fresh rebuild.
+    c_k depends on every earlier entry, so the constructor solves the whole
+    table in one pass over one Lambda.  The entries never change after
+    that, and :func:`consistency_residual` only swaps in a whole cache
+    tuple, so threads may share one table without a lock.
     """
 
     def __init__(self, max_k: int):
         if max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {max_k}")
-        self._coeffs: list[Fraction] = []
-        self._lock = threading.Lock()
+        scale = lcm(*range(1, 2 * max_k + 2)) * factorial(2 * max_k)  # Lambda
+        scaled = []  # P_m = Lambda * c_m
+        coeffs = []
+        fact = 1  # (2k+1)!, advanced at the top of each step
+        # (2j+1)(2j) for j = 1 .. max_k-1: the ratio of g_(k-j+1) to g_(k-j)
+        steps = [(2 * j + 1) * (2 * j) for j in range(1, max_k)]
+        for k in range(1, max_k + 1):
+            fact *= 2 * k * (2 * k + 1)
+            acc = 0
+            for p, f in zip(reversed(scaled), steps):
+                acc = p - f * acc
+            p_k, rem = divmod(k * scale - (2 * k + 1) * (2 * k) * acc, fact)
+            if rem:
+                raise ArithmeticError(f"P_{k} is not an integer")
+            if not k % 2:
+                p_k = -p_k
+            scaled.append(p_k)
+            coeffs.append(Fraction(p_k, scale))
+        self._coeffs = coeffs
         # (coefficients seen, Lambda, P) for consistency_residual
         self._residual_cache: tuple | None = None
-        self.extend(max_k)
 
     @property
     def max_k(self) -> int:
@@ -78,44 +93,12 @@ class ZetaCoeffTable:
         """c_1 .. c_max_k; index k-1 holds c_k."""
         return tuple(self._coeffs)
 
-    def extend(self, new_max_k: int) -> None:
-        """Grow the table so that c_1 .. c_new_max_k are available."""
-        with self._lock:
-            c = self._coeffs
-            if new_max_k <= len(c):
-                return
-            lcm_all = lcm(*range(1, 2 * new_max_k + 2))  # L
-            scale = lcm_all * factorial(2 * new_max_k)  # Lambda
-            scaled = []  # P_m = Lambda * c_m
-            fact = 1  # (2m)!
-            for m, q in enumerate(c, start=1):
-                fact *= (2 * m - 1) * (2 * m)
-                if lcm_all * fact % q.denominator:
-                    raise ArithmeticError(f"c_{m} is not a zeta coefficient")
-                scaled.append(q.numerator * (scale // q.denominator))
-            start = len(c) + 1
-            fact = factorial(2 * start - 1)  # (2k+1)! once k = start
-            # (2j+1)(2j) for j = 1 .. new_max_k-1: the ratio of g_(k-j+1) to g_(k-j)
-            steps = [(2 * j + 1) * (2 * j) for j in range(1, new_max_k)]
-            for k in range(start, new_max_k + 1):
-                fact *= 2 * k * (2 * k + 1)
-                acc = 0
-                for p, f in zip(reversed(scaled), steps):
-                    acc = p - f * acc
-                p_k, rem = divmod(k * scale - (2 * k + 1) * (2 * k) * acc, fact)
-                if rem:
-                    raise ArithmeticError(f"P_{k} is not an integer")
-                if not k % 2:
-                    p_k = -p_k
-                scaled.append(p_k)
-                c.append(Fraction(p_k, scale))
-
     def coeff(self, k: int) -> Fraction:
-        """Return c_k, growing the table if k exceeds max_k."""
+        """Return c_k for 1 <= k <= max_k."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if k > len(self._coeffs):
-            self.extend(k)
+            raise ValueError(f"k must be <= max_k = {len(self._coeffs)}, got {k}")
         return self._coeffs[k - 1]
 
     def rows(self) -> list[dict[str, object]]:
@@ -145,12 +128,14 @@ def consistency_residual(table: ZetaCoeffTable, k: int) -> Fraction:
     small-by-big products; Lambda and P are kept per table (see
     :func:`_scaled_coeffs`).  The result is the same reduced rational as
     the sum of the fractions themselves: only the common multiple differs.
-    :meth:`ZetaCoeffTable.extend` sums these terms by Horner's rule too; the
-    two stay separate code, so that one fault cannot zero every residual.
+    The :class:`ZetaCoeffTable` constructor sums these terms by Horner's
+    rule too; the two stay separate code, so that one fault cannot zero
+    every residual.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    table.extend(k)
+    if k > table.max_k:
+        raise ValueError(f"k must be <= max_k = {table.max_k}, got {k}")
     scale, scaled = _scaled_coeffs(table, k)
     acc = 0
     for j in reversed(range(k)):
@@ -162,14 +147,15 @@ def _scaled_coeffs(table: ZetaCoeffTable, k: int) -> tuple[int, tuple[int, ...]]
     """(Lambda, P) for the table's current c_1 .. c_k, built once per table.
 
     The cache is one tuple (the coefficient objects it saw, Lambda, P),
-    replaced whole and read without a lock.  It serves k only while its
-    first k objects are the table's current entries, so growth, or an
-    entry replaced in ``_coeffs``, rebuilds it from a snapshot.
+    replaced whole and read without a lock.  Tables do not change, but an
+    entry replaced in ``_coeffs`` (as fault injection does) must show: the
+    cache serves k only while its first k objects are the table's current
+    entries, and is rebuilt from a snapshot otherwise.
     """
     cache = table._residual_cache
     if cache is not None:
         seen, scale, scaled = cache
-        if len(seen) >= k and all(map(is_, seen, table._coeffs[:k])):
+        if all(map(is_, seen, table._coeffs[:k])):
             return scale, scaled
     seen = tuple(table._coeffs)
     scale = lcm(*(c.denominator for c in seen))

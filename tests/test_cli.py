@@ -324,16 +324,21 @@ _CAPS = [
     pytest.param(["eval", "-d"], cli._MAX_DIGITS, ["-k", "10"], id="eval-digits"),
     pytest.param(["verify", "--max-k"], cli._MAX_VERIFY_K, [], id="verify"),
     pytest.param(["bernoulli", "--max-index"], cli._MAX_BERNOULLI_INDEX, [], id="bernoulli"),
+    pytest.param(["fourier", "-k"], cli._MAX_FOURIER_K, ["-n", "1"], id="fourier-k"),
+    pytest.param(["fourier", "-n"], cli._MAX_FOURIER_N, ["-k", "1"], id="fourier-n"),
 ]
 
 
 @pytest.mark.parametrize("flag,cap,rest", _CAPS)
 def test_table_sizes_past_the_cap_are_refused_before_any_work(capsys, monkeypatch, flag, cap, rest):
+    from zeta2k import fourier
+
     def refuse(*args, **kwargs):
-        raise AssertionError("a table was built for a refused input")
+        raise AssertionError("a table was built or a quadrature run for a refused input")
 
     monkeypatch.setattr(cli, "ZetaCoeffTable", refuse)
     monkeypatch.setattr(cli, "BernoulliTable", refuse)
+    monkeypatch.setattr(fourier, "cosine_coeff_quadrature", refuse)
     for too_big in (cap + 1, 10**7, 10**4000):
         code, out, err = run(capsys, flag + [str(too_big)] + rest)
         assert (code, out) == (2, "")
@@ -433,3 +438,95 @@ def test_zero_padding_past_the_int_to_str_limit_keeps_the_value():
     parser = cli.build_parser()
     assert parser.parse_args(["coeff", "-k", _LONG + "7"]).k == 7
     assert parser.parse_args(["bernoulli", "--max-index", "-" + _LONG]).max_index == 0
+
+
+def test_eval_over_its_joint_budget_is_refused_before_any_work(capsys, monkeypatch):
+    from zeta2k import precision
+
+    calls = []
+    one = precision.zeta_eval(1, precision.PrecisionConfig(digits=10), Fraction(1, 6))
+
+    class RecordedTable:
+        def __init__(self, max_k):
+            calls.append(("table", max_k))
+
+        def coeff(self, k):
+            return Fraction(1, 6)
+
+    def recorded_eval(k, cfg, c):
+        calls.append(("zeta_eval", k, cfg.digits))
+        return one
+
+    monkeypatch.setattr(cli, "ZetaCoeffTable", RecordedTable)
+    monkeypatch.setattr(precision, "zeta_eval", recorded_eval)
+    budget = "26*(K/2000)^3.1 + 28*(D/400000)^1.9 <= 30"
+    for k, digits, seconds in [(2000, 400000, 54.0), (2000, 150000, 30.3), (900, 400000, 30.2), (1700, 300000, 31.9)]:
+        code, out, err = run(capsys, ["eval", "-k", str(k), "-d", str(digits)])
+        assert (code, out) == (2, ""), (k, digits)
+        assert f"must satisfy {budget}: " in err
+        assert err.rstrip().endswith(f"would take about {seconds} s")
+    assert calls == []
+    # each cap with the other flag small, and pairs inside the budget, run
+    accepted = [(2000, 10), (1, 400000), (1500, 300000), (2000, 130000)]
+    for k, digits in accepted:
+        assert run(capsys, ["eval", "-k", str(k), "-d", str(digits)]) == (0, "1.6449340668\n", "")
+    assert calls == [step for k, d in accepted for step in (("table", k), ("zeta_eval", k, d))]
+    code, out, _ = run(capsys, ["eval", "-h"])
+    assert code == 0 and budget in " ".join(out.split())
+
+
+# every flag that takes integers: (argv before the value, argv after it,
+# the parsed attribute, its least and its largest accepted value)
+_INT_FLAGS = [
+    (["coeff", "-k"], [], "k", 1, cli._MAX_K),
+    (["eval", "-k"], ["-d", "10"], "k", 1, cli._MAX_K),
+    (["eval", "-d"], ["-k", "1"], "digits", 1, cli._MAX_DIGITS),
+    (["verify", "--max-k"], [], "max_k", 1, cli._MAX_VERIFY_K),
+    (["table", "--max-k"], [], "max_k", 1, cli._MAX_K),
+    (["bernoulli", "--max-index"], [], "max_index", 0, cli._MAX_BERNOULLI_INDEX),
+    (["fourier", "-k"], ["-n", "1"], "k", 1, cli._MAX_FOURIER_K),
+    (["fourier", "-n"], ["-k", "1"], "n", 1, cli._MAX_FOURIER_N),
+    (["bench", "--reps"], ["--k-list", "1"], "reps", 1, None),
+    (["bench", "--k-list"], [], "k_list", 1, cli._MAX_BENCH_K),
+]
+_INT_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.integers(min_value=-10, max_value=10**6).map(str),
+    st.from_regex(r"\s*[+-]?\d{1,5}(_\d{1,3})?\s*", fullmatch=True),
+    st.integers(min_value=1, max_value=3).map(lambda n: ",".join(["1"] * n)),
+    st.just("1" + "0" * 5000),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag=st.sampled_from(_INT_FLAGS), text=_INT_TEXT)
+def test_integer_flags_parse_in_bounds_or_exit_two_with_one_error_line(flag, text):
+    import contextlib
+    import io
+
+    before, after, attr, low, cap = flag
+    calls = []
+
+    def record(args):
+        calls.append(args)
+        return "", 0
+
+    commands = [name for name in vars(cli) if name.startswith("_cmd_")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        for name in commands:
+            stack.enter_context(mock.patch.object(cli, name, record))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main([*before, text, *after])
+    if code == 0:
+        assert len(calls) == 1 and err.getvalue() == ""
+        value = getattr(calls[0], attr)
+        for v in value if isinstance(value, tuple) else (value,):
+            assert type(v) is int and v >= low and (cap is None or v <= cap)
+    else:
+        assert code == 2 and calls == []
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        assert [line for line in lines if ": error: " in line] == [lines[-1]]
+        assert lines[-1].startswith(f"zeta2k {before[0]}: error: ")

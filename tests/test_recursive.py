@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeta2k.recursive import ZetaCoeffTable, consistency_residual
@@ -35,21 +35,17 @@ def test_constructor_rejects_nonpositive():
         ZetaCoeffTable(-3)
 
 
-def test_coeff_grows_table_on_demand():
-    table = ZetaCoeffTable(2)
-    assert table.max_k == 2
-    assert table.coeff(5) == KNOWN[5]
-    assert table.max_k == 5
-
-
-def test_extend_is_idempotent_and_preserves_prefix():
-    table = ZetaCoeffTable(8)
+def test_coeff_and_residual_past_max_k_raise_and_leave_table_unchanged():
+    table = ZetaCoeffTable(5)
     before = table.coeffs
-    table.extend(4)  # shrinking is a no-op
+    for k in (6, 7, 50):
+        with pytest.raises(ValueError, match=f"k must be <= max_k = 5, got {k}"):
+            table.coeff(k)
+        with pytest.raises(ValueError, match=f"k must be <= max_k = 5, got {k}"):
+            consistency_residual(table, k)
+    assert table.max_k == 5
     assert table.coeffs == before
-    table.extend(12)
-    assert table.coeffs[:8] == before
-    assert table.max_k == 12
+    assert table.coeff(5) == KNOWN[5] and consistency_residual(table, 5) == 0
 
 
 def test_all_coefficients_positive():
@@ -92,87 +88,44 @@ def test_csv_layout():
     assert text == "k,num,den\n1,1,6\n2,1,90\n"
 
 
-def test_growing_one_entry_at_a_time_matches_fresh_table():
-    table = ZetaCoeffTable(1)
-    for k in range(2, 201):
-        table.extend(k)
-    assert table.coeffs == ZetaCoeffTable(200).coeffs
-
-
-def test_growing_in_uneven_steps_matches_fresh_table():
-    # L = lcm(1..2K+1) changes at every step, so existing entries are
-    # rescaled each time the table grows
-    table = ZetaCoeffTable(5)
-    for step in (17, 64, 150, 200):
-        table.extend(step)
-    assert table.coeffs == ZetaCoeffTable(200).coeffs
-
-
-def test_growing_from_odd_and_even_sizes_matches_fresh_table():
-    # each extend rescales the stored entries to the new Lambda = L * (2K)!
-    # from the table's current size, here odd and even sizes alike
-    table = ZetaCoeffTable(6)
-    for step in (7, 8, 41, 150):
-        table.extend(step)
-    assert table.coeffs == ZetaCoeffTable(150).coeffs
-
-
-def test_extending_a_table_of_non_coefficients_raises():
-    table = ZetaCoeffTable(5)
-    table._coeffs[2] += Fraction(1, 10**6)
-    with pytest.raises(ArithmeticError):
-        table.extend(12)
-
-
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=150),
-    st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=5),
-)
-def test_growing_in_random_steps_matches_fresh_table(size, steps):
-    # Lambda = lcm(1..2K+1) * (2K)! changes with every growth, so the stored
-    # entries are rescaled at arbitrary sizes, odd and even
-    table = ZetaCoeffTable(size)
-    for step in steps:
-        table.extend(step)
-    assert table.coeffs == ZetaCoeffTable(max(size, *steps)).coeffs
+@given(st.integers(min_value=1, max_value=150), st.integers(min_value=1, max_value=150))
+@example(1, 200)
+@example(5, 200)
+@example(6, 200)
+@example(7, 200)
+@example(8, 200)
+@example(17, 200)
+@example(41, 200)
+@example(64, 200)
+@example(150, 200)
+def test_smaller_table_is_a_prefix_of_a_larger_one(a, b):
+    # each table solves over its own Lambda = lcm(1..2K+1) * (2K)!, odd and
+    # even K alike, so equal prefixes show that no c_k depends on Lambda
+    a, b = sorted((a, b))
+    assert ZetaCoeffTable(a).coeffs == ZetaCoeffTable(b).coeffs[:a]
 
 
-@pytest.mark.parametrize(
-    "size,new_max_k,m,delta", [(5, 12, 3, Fraction(1, 10**6)), (5, 10, 1, Fraction(1, 49))]
-)
-def test_growth_refuses_entries_that_are_not_zeta_coefficients(size, new_max_k, m, delta):
-    from math import factorial, lcm
-
-    table = ZetaCoeffTable(size)
-    table._coeffs[m - 1] += delta
-    before = table.coeffs
-    bad = before[m - 1]
-    # Lambda * c_m is still an integer, L * (2m)! * c_m is not
-    lcm_all = lcm(*range(1, 2 * new_max_k + 2))
-    assert (lcm_all * factorial(2 * new_max_k) * bad).denominator == 1
-    assert (lcm_all * factorial(2 * m) * bad).denominator != 1
-    with pytest.raises(ArithmeticError, match=f"c_{m} is not a zeta coefficient"):
-        table.extend(new_max_k)
-    assert table.coeffs == before
-
-
-def test_shared_table_grows_safely_under_concurrent_readers():
+def test_shared_table_is_safe_under_concurrent_readers():
+    """Readers of one fresh table race on the first fill of the residual cache."""
     import random
     import sys
     import threading
 
     expected = ZetaCoeffTable(80).coeffs
-    table = ZetaCoeffTable(1)
+    table = ZetaCoeffTable(80)
     start = threading.Barrier(4)
     wrong = []
+    residuals = []
 
     def reader(seed):
-        ks = random.Random(seed).sample(range(1, 81), 30)
+        ks = random.Random(seed).sample(range(1, 81), 80)
         start.wait(timeout=10)
         for k in ks:
             if table.coeff(k) != expected[k - 1]:
                 wrong.append(k)
+            r = consistency_residual(table, k)
+            residuals.append((r.numerator, r.denominator))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -186,6 +139,7 @@ def test_shared_table_grows_safely_under_concurrent_readers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+    assert residuals == [(0, 1)] * (4 * 80)
     assert table.coeffs == expected
 
 
@@ -223,14 +177,10 @@ def test_residual_equals_the_fraction_sum_on_a_perturbed_table(m, delta):
         assert got == expected
 
 
-_STEPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("extend"), st.integers(min_value=1, max_value=60)),
-        st.tuples(
-            st.just("perturb"),
-            st.integers(min_value=1, max_value=60),
-            st.fractions(max_denominator=10**12).filter(bool),
-        ),
+_PERTURBATIONS = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=60),
+        st.fractions(max_denominator=10**12).filter(bool),
     ),
     min_size=1,
     max_size=4,
@@ -238,59 +188,13 @@ _STEPS = st.lists(
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30), _STEPS)
-def test_cached_residual_follows_edits_and_growth(size, first, steps):
-    """After a residual has filled the cache, edits and growth must show."""
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30), _PERTURBATIONS)
+def test_cached_residual_follows_edits(size, first, steps):
+    """After a residual has filled the cache, edits must show."""
     table = ZetaCoeffTable(size)
     consistency_residual(table, min(first, size))
-    originals = {}  # index -> the true entry a perturbation replaced
-    for step in steps:
-        if step[0] == "extend":
-            # only true entries extend, so put them back (as the same objects)
-            for i, c in originals.items():
-                table._coeffs[i] = c
-            originals.clear()
-            table.extend(step[1])
-        else:
-            _, m, delta = step
-            i = (m - 1) % table.max_k
-            originals.setdefault(i, table._coeffs[i])
-            table._coeffs[i] += delta
-        for k in range(1, table.max_k + 1):
+    for m, delta in steps:
+        table._coeffs[(m - 1) % size] += delta
+        for k in range(1, size + 1):
             got, want = consistency_residual(table, k), _residual_over_fractions(table, k)
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-
-
-def test_residuals_stay_zero_while_a_shared_table_grows():
-    import sys
-    import threading
-
-    table = ZetaCoeffTable(5)
-    start = threading.Barrier(5)
-    results = []
-
-    def sweep():
-        start.wait(timeout=10)
-        for k in range(1, 91):
-            r = consistency_residual(table, k)
-            results.append((r.numerator, r.denominator))
-
-    def grow():
-        start.wait(timeout=10)
-        for size in range(10, 121, 5):
-            table.extend(size)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=sweep) for _ in range(4)]
-        threads.append(threading.Thread(target=grow))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [(0, 1)] * (4 * 90)
-    assert table.coeffs == ZetaCoeffTable(120).coeffs
