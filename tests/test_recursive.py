@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeta2k.recursive import ZetaCoeffTable, consistency_residual
@@ -88,49 +88,53 @@ def test_csv_layout():
     assert text == "k,num,den\n1,1,6\n2,1,90\n"
 
 
+def _assert_each_size_is_a_prefix(sizes):
+    # tables are built once, so a table "grows" by building the next size
+    # afresh; each solves over its own Lambda = lcm(1..2K+1) * (2K)!, so equal
+    # prefixes show that no c_k depends on Lambda
+    largest = ZetaCoeffTable(max(sizes)).coeffs
+    for size in sizes:
+        assert ZetaCoeffTable(size).coeffs == largest[:size]
+
+
+def test_growing_one_entry_at_a_time_matches_fresh_table():
+    _assert_each_size_is_a_prefix(range(1, 201))
+
+
+def test_growing_in_uneven_steps_matches_fresh_table():
+    # L = lcm(1..2K+1) changes at every one of these sizes
+    _assert_each_size_is_a_prefix((5, 17, 64, 150, 200))
+
+
+def test_growing_from_odd_and_even_sizes_matches_fresh_table():
+    _assert_each_size_is_a_prefix((6, 7, 8, 41, 150))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=150), st.integers(min_value=1, max_value=150))
-@example(1, 200)
-@example(5, 200)
-@example(6, 200)
-@example(7, 200)
-@example(8, 200)
-@example(17, 200)
-@example(41, 200)
-@example(64, 200)
-@example(150, 200)
-def test_smaller_table_is_a_prefix_of_a_larger_one(a, b):
-    # each table solves over its own Lambda = lcm(1..2K+1) * (2K)!, odd and
-    # even K alike, so equal prefixes show that no c_k depends on Lambda
-    a, b = sorted((a, b))
-    assert ZetaCoeffTable(a).coeffs == ZetaCoeffTable(b).coeffs[:a]
+@given(
+    st.integers(min_value=1, max_value=150),
+    st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=5),
+)
+def test_growing_in_random_steps_matches_fresh_table(size, steps):
+    # Lambda differs at arbitrary sizes, odd and even
+    _assert_each_size_is_a_prefix((size, *steps))
 
 
-def test_shared_table_is_safe_under_concurrent_readers():
-    """Readers of one fresh table race on the first fill of the residual cache."""
-    import random
+def _race(targets):
+    """Start every target at once, with a 1 us switch interval, and join them."""
     import sys
     import threading
 
-    expected = ZetaCoeffTable(80).coeffs
-    table = ZetaCoeffTable(80)
-    start = threading.Barrier(4)
-    wrong = []
-    residuals = []
+    start = threading.Barrier(len(targets))
 
-    def reader(seed):
-        ks = random.Random(seed).sample(range(1, 81), 80)
+    def run(target):
         start.wait(timeout=10)
-        for k in ks:
-            if table.coeff(k) != expected[k - 1]:
-                wrong.append(k)
-            r = consistency_residual(table, k)
-            residuals.append((r.numerator, r.denominator))
+        target()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+        threads = [threading.Thread(target=run, args=(t,)) for t in targets]
         for t in threads:
             t.start()
         for t in threads:
@@ -138,9 +142,50 @@ def test_shared_table_is_safe_under_concurrent_readers():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+
+
+def test_shared_table_grows_safely_under_concurrent_readers():
+    """Readers of one fresh table race on the first fill of the residual cache."""
+    import random
+
+    expected = ZetaCoeffTable(80).coeffs
+    table = ZetaCoeffTable(80)
+    wrong = []
+    residuals = []
+
+    def reader(seed):
+        for k in random.Random(seed).sample(range(1, 81), 80):
+            if table.coeff(k) != expected[k - 1]:
+                wrong.append(k)
+            r = consistency_residual(table, k)
+            residuals.append((r.numerator, r.denominator))
+
+    _race([lambda seed=seed: reader(seed) for seed in range(4)])
     assert wrong == []
     assert residuals == [(0, 1)] * (4 * 80)
     assert table.coeffs == expected
+
+
+def test_residuals_stay_zero_while_a_shared_table_grows():
+    """Ascending residual sweeps over one shared table, while a fifth thread
+    builds tables of growing size beside them."""
+    table = ZetaCoeffTable(120)
+    results = []
+    built = []
+
+    def sweep():
+        for k in range(1, 121):
+            r = consistency_residual(table, k)
+            results.append((r.numerator, r.denominator))
+
+    def grow():
+        for size in range(10, 121, 5):
+            built.append(ZetaCoeffTable(size).coeffs)
+
+    _race([sweep] * 4 + [grow])
+    assert results == [(0, 1)] * (4 * 120)
+    assert built == [table.coeffs[:size] for size in range(10, 121, 5)]
+    assert table.coeffs == ZetaCoeffTable(120).coeffs
 
 
 def _residual_over_fractions(table, k):
