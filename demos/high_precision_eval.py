@@ -2,10 +2,10 @@
 """Exact coefficients to decimal digits, with an independent oracle.
 
 zeta(2k) = c_k * pi^(2k) turns a rational into decimals once pi is
-known.  An independent check sums the defining series directly with a
-rigorous cutoff.  Where plain truncation needs too many terms, an exact
-two-sided bracket on the tail (no Bernoulli numbers) cuts the count; where
-even that is unaffordable the module says so instead of silently degrading.
+known.  An independent check sums the defining series directly: M terms
+plus the midpoint of an exact two-sided bracket on the tail (no Bernoulli
+numbers), with M far below the N terms plain truncation would need.  Where
+even M is unaffordable the module says so instead of silently degrading.
 """
 
 from zeta2k import (
@@ -34,23 +34,20 @@ def main() -> None:
         print(f"  zeta({2 * k:>2}) = {format_real(value)}")
 
     print()
-    print("Direct-summation oracle with its truncation cutoff N:")
-    for k, digits in ((2, 10), (3, 30), (5, 30), (10, 30)):
+    print("Direct-summation oracle: M terms plus the tail bracket's midpoint,")
+    print("against the N terms plain truncation would need:")
+    for k, digits in ((2, 10), (3, 30), (5, 30), (10, 30), (2, 30)):
         cfg = PrecisionConfig(digits=digits)
+        m = _enclosure_terms(k, cfg)
         n = direct_sum_terms(k, cfg)
         value = zeta_direct_sum(k, cfg)
-        print(f"  zeta({2 * k:>2}) at {digits} digits: N = {n:>9}  ->  {format_real(value)}")
+        print(
+            f"  zeta({2 * k:>2}) at {digits} digits: M = {m:>7}, N = {n:>11}"
+            f"  ->  {format_real(value)}"
+        )
 
     print()
-    print("Over the term budget, the oracle encloses the tail instead:")
-    cfg = PrecisionConfig(digits=30)
-    n = direct_sum_terms(2, cfg)
-    m = _enclosure_terms(2, cfg)
-    value = zeta_direct_sum(2, cfg)
-    print(f"  zeta( 4) at 30 digits: N = {n} over budget, M = {m}  ->  {format_real(value)}")
-
-    print()
-    print("The oracle refuses work neither route can cover:")
+    print("The oracle refuses work whose M is over the term budget:")
     try:
         zeta_direct_sum(1, PrecisionConfig(digits=50))
     except InfeasiblePrecisionError as err:

@@ -378,6 +378,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # "--" is never a value; argparse before 3.13 drops it from
+        # --flag=-- and stores [] without its type or choices check
+        for name, value in vars(args).items():
+            if value in ([], "--"):
+                flag = f"-{name}" if len(name) == 1 else f"--{name.replace('_', '-')}"
+                args.usage_error(f"argument {flag}: expected one argument")
         if args.command == "bench" and (
             args.reps * sum((2 * k) ** 4 for k in args.k_list) > _BENCH_BUDGET
         ):

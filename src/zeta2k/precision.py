@@ -17,19 +17,16 @@ Two routes to the same number:
   recently: for k <= 2000, at most 1032 rungs of about 3.32 * (D + 25)
   bits.
 * ``zeta_direct_sum`` sums the defining series sum(1/n^(2k)) and never
-  touches a coefficient, pi or a Bernoulli number.  Plain truncation comes
-  first: the cutoff N is the smallest integer with
-  N^(1-2k)/(2k-1) < 10^-(D+2), the integral bound on the dropped tail.
-  When N is over the term budget, the tail is enclosed instead: for the
-  convex decreasing f(x) = x^(-2k) the trapezoid and midpoint rules give
+  touches a coefficient, pi or a Bernoulli number.  It sums M terms and
+  adds the midpoint of an exact bracket on the rest: for the convex
+  decreasing f(x) = x^(-2k) the trapezoid and midpoint rules give
 
       int_{M+1}^inf f + f(M+1)/2  <=  sum_{n>M} f(n)  <=  int_{M+1/2}^inf f,
 
-  two elementary rationals, so M terms plus the bracket midpoint reach D
-  digits with M far below N (1.9e6 instead of 3.2e10 at k=2, D=30).
-  Either way the result sits within 10^-(D+2) of the true value.  When
-  both routes are over budget the error raised reports the largest D
-  plain truncation can reach and the M the enclosure would need.
+  two elementary rationals.  The smallest M whose bracket is narrow
+  enough puts the result within 10^-(D+2) of zeta(2k), with M far below
+  the cutoff N of plain truncation (1.9e6 instead of 3.2e10 at k=2,
+  D=30).  When M is over the term budget the error raised says so.
 
 Both routes round in binary floating point over plain integers, bit for
 bit as mpmath would, and return mpmath's raw float; mpmath itself is
@@ -124,12 +121,12 @@ class HighPrecReal:
 
 
 class InfeasiblePrecisionError(Exception):
-    """Both summation routes need more terms than the configured budget.
+    """The direct sum needs more terms M than the configured budget.
 
     ``required_terms``, ``max_sum_terms`` and ``feasible_digits`` describe
-    plain truncation: its cutoff N, the budget it is over, and the largest
-    D it reaches within that budget.  The message also gives the term
-    count M the tail enclosure would need, which is over the budget too.
+    the integral bound on plain truncation: its cutoff N (at least M),
+    the budget, and the largest D whose N fits that budget.  The message
+    also gives M.
     """
 
     def __init__(
@@ -363,6 +360,7 @@ def zeta_eval(k: int, cfg: PrecisionConfig, c_k: Fraction) -> HighPrecReal:
 def direct_sum_terms(k: int, cfg: PrecisionConfig) -> int:
     """Smallest N whose tail bound N^(1-2k)/(2k-1) is below 10^-(digits+2).
 
+    Plain truncation's cutoff, reported when ``zeta_direct_sum`` refuses.
     Exact integer arithmetic throughout: the float seed is only a starting
     point and the answer is adjusted against the bound itself.
     """
@@ -437,32 +435,27 @@ def _enclosure_terms(k: int, cfg: PrecisionConfig) -> int:
 
 
 def zeta_direct_sum(k: int, cfg: PrecisionConfig) -> HighPrecReal:
-    """sum(1/n^(2k)) to cfg.digits, without coefficients, pi or Bernoulli numbers.
+    """sum(1/n^(2k)) within 10^-(digits+2), with no coefficient, pi or Bernoulli number.
 
-    If the plain cutoff N = direct_sum_terms(k, cfg) fits cfg.max_sum_terms
-    the result is the partial sum to N.  Otherwise it is the partial sum to
-    the enclosure cutoff M plus the midpoint of the exact tail bracket,
-    which is within half the bracket width of the dropped tail.  Both
-    routes sum in truncating fixed-point arithmetic: each term is
-    10^P // n^(2k), so per-term error is below 10^-P and the total
-    truncation error stays far inside the 10^-(digits+2) budget.  Raises
-    InfeasiblePrecisionError when both N and M are over the budget.
+    The partial sum to M = _enclosure_terms(k, cfg) plus the midpoint of
+    the exact tail bracket, in truncating fixed point: each term is
+    10^P // n^(2k), and the M+1 truncations stay below the
+    10^-(digits+guard+2) that M leaves for them.  Raises
+    InfeasiblePrecisionError when M is over cfg.max_sum_terms.
     """
-    n_terms = direct_sum_terms(k, cfg)
-    tail = Fraction(0)
-    if n_terms > cfg.max_sum_terms:
-        m = _enclosure_terms(k, cfg)
-        if m > cfg.max_sum_terms:
-            raise InfeasiblePrecisionError(
-                k, cfg.digits, n_terms, cfg.max_sum_terms, m
-            )
-        n_terms = m
-        lower, upper = _tail_bracket(k, m)
-        tail = (lower + upper) / 2
-    p = cfg.digits + cfg.guard + len(str(n_terms)) + 2
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    m = _enclosure_terms(k, cfg)
+    if m > cfg.max_sum_terms:
+        raise InfeasiblePrecisionError(
+            k, cfg.digits, direct_sum_terms(k, cfg), cfg.max_sum_terms, m
+        )
+    lower, upper = _tail_bracket(k, m)
+    tail = (lower + upper) / 2
+    p = cfg.digits + cfg.guard + len(str(m)) + 2
     scale = 10**p
     e = 2 * k
-    total = sum(scale // n**e for n in range(1, n_terms + 1))
+    total = sum(scale // n**e for n in range(1, m + 1))
     total += tail.numerator * scale // tail.denominator
     value = _quotient(total, scale, _dps_to_prec(p + 10))
     return HighPrecReal(digits=cfg.digits, value=value)

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import tempfile
@@ -530,3 +532,187 @@ def test_integer_flags_parse_in_bounds_or_exit_two_with_one_error_line(flag, tex
         assert "Traceback" not in err.getvalue()
         assert [line for line in lines if ": error: " in line] == [lines[-1]]
         assert lines[-1].startswith(f"zeta2k {before[0]}: error: ")
+
+
+def _recorded_main(argv, text=""):
+    """main(argv) with every _cmd_* patched to record its args and return text.
+
+    Returns (exit code, recorded args, stdout, stderr).
+    """
+    calls = []
+
+    def record(args):
+        calls.append(args)
+        return text, 0
+
+    commands = [name for name in vars(cli) if name.startswith("_cmd_")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        for name in commands:
+            stack.enter_context(mock.patch.object(cli, name, record))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main(argv)
+    return code, calls, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(command, err):
+    lines = err.splitlines()
+    assert "Traceback" not in err
+    assert [line for line in lines if ": error: " in line] == [lines[-1]]
+    assert lines[-1].startswith(f"zeta2k {command}: error: ")
+
+
+# the smallest valid argv of every command, and the choices of --format
+_MINIMAL_ARGV = {
+    "coeff": ["coeff", "-k", "1"],
+    "eval": ["eval", "-k", "1", "-d", "10"],
+    "verify": ["verify", "--max-k", "1"],
+    "table": ["table", "--max-k", "1"],
+    "bernoulli": ["bernoulli", "--max-index", "1"],
+    "fourier": ["fourier", "-k", "1", "-n", "1"],
+    "bench": ["bench", "--k-list", "1"],
+}
+_FORMATS = {
+    "coeff": ("plain", "json"),
+    "table": ("csv", "json"),
+    "bernoulli": ("csv", "json"),
+    "bench": ("csv", "json"),
+}
+_FORMAT_TEXT = st.one_of(
+    st.sampled_from(["plain", "csv", "json", "JSON", " json", "json ", "", "-", "--", "-k"]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(_FORMATS)), text=_FORMAT_TEXT, joined=st.booleans())
+def test_format_text_selects_a_listed_choice_or_exits_two_with_one_error_line(
+    command, text, joined
+):
+    flag = [f"--format={text}"] if joined else ["--format", text]
+    code, calls, out, err = _recorded_main([*_MINIMAL_ARGV[command], *flag])
+    if text in _FORMATS[command]:
+        assert (code, err) == (0, "")
+        assert len(calls) == 1 and calls[0].format == text
+    else:
+        assert (code, calls, out) == (2, [], "")
+        _assert_one_error_line(command, err)
+
+
+# relative file names: no separators, no leading dash, not . or ..
+_NAME = st.text(alphabet="abcXYZ019._-", min_size=1, max_size=12).filter(
+    lambda name: not name.startswith("-") and name not in (".", "..")
+)
+_ASCII_TEXT = st.text(
+    alphabet=st.one_of(st.characters(min_codepoint=32, max_codepoint=126), st.just("\n")),
+    max_size=40,
+)
+
+
+@contextlib.contextmanager
+def _in_temporary_directory():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_MINIMAL_ARGV)),
+    parts=st.lists(_NAME, min_size=1, max_size=3),
+    text=_ASCII_TEXT,
+)
+def test_output_to_relative_names_writes_exactly_what_stdout_shows(command, parts, text):
+    argv = _MINIMAL_ARGV[command]
+    code, _, shown, err = _recorded_main(argv, text)
+    assert (code, err) == (0, "")
+    name = os.path.join(*parts)
+    folder = os.path.dirname(name)
+    with _in_temporary_directory():
+        if folder:
+            os.makedirs(folder)
+        code, calls, out, err = _recorded_main([*argv, "--output", name], text)
+        assert (code, out, err) == (0, "", "")
+        assert [args.output for args in calls] == [name]
+        with open(name, encoding="ascii", newline="") as handle:
+            assert handle.read() == shown
+        # and no temporary file is left beside it
+        assert os.listdir(folder or ".") == [parts[-1]]
+
+
+def _numbers(low, high):
+    return st.integers(min_value=low, max_value=high).map(str)
+
+
+# every flag of every command but --output, with values inside all caps and budgets
+_FLAG_VALUES = {
+    "coeff": {"-k": _numbers(1, 50), "--format": st.sampled_from(_FORMATS["coeff"])},
+    "eval": {"-k": _numbers(1, 50), "-d": _numbers(1, 10**4)},
+    "verify": {"--max-k": _numbers(1, 50)},
+    "table": {"--max-k": _numbers(1, 50), "--format": st.sampled_from(_FORMATS["table"])},
+    "bernoulli": {
+        "--max-index": _numbers(0, 100),
+        "--format": st.sampled_from(_FORMATS["bernoulli"]),
+    },
+    "fourier": {"-k": _numbers(1, cli._MAX_FOURIER_K), "-n": _numbers(1, cli._MAX_FOURIER_N)},
+    "bench": {
+        "--k-list": st.lists(_numbers(1, 100), min_size=1, max_size=3).map(",".join),
+        "--reps": _numbers(1, 5),
+        "--format": st.sampled_from(_FORMATS["bench"]),
+    },
+}
+
+
+@st.composite
+def _flags_in_two_orders(draw):
+    command = draw(st.sampled_from(sorted(_FLAG_VALUES)))
+    pairs = [(flag, draw(values)) for flag, values in _FLAG_VALUES[command].items()]
+    pairs.append(("--output", draw(_NAME)))
+    return command, pairs, draw(st.permutations(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_flags_in_two_orders())
+def test_any_order_of_a_commands_flags_parses_to_the_same_namespace(case):
+    command, pairs, shuffled = case
+    namespaces = []
+    with _in_temporary_directory():
+        for order in (pairs, shuffled):
+            argv = [command, *(token for pair in order for token in pair)]
+            code, calls, out, err = _recorded_main(argv)
+            assert (code, out, err) == (0, "", "")
+            assert len(calls) == 1
+            # func is this run's recorder, and usage_error is bound to the
+            # parser main builds on each call
+            parsed = vars(calls[0])
+            namespaces.append({k: v for k, v in parsed.items() if k not in ("func", "usage_error")})
+    assert namespaces[0] == namespaces[1]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["coeff", "-k=--"], "-k"),
+        (["coeff", "-k", "1", "--format=--"], "--format"),
+        (["coeff", "-k", "1", "--output=--"], "--output"),
+        (["eval", "-k", "1", "--digits=--"], "--digits"),
+        (["eval", "-k=--", "-d", "10"], "-k"),
+        (["verify", "--max-k=--"], "--max-k"),
+        (["bernoulli", "--max-index=--"], "--max-index"),
+        (["fourier", "-k", "1", "-n=--"], "-n"),
+        (["bench", "--k-list=--"], "--k-list"),
+        (["bench", "--reps=--"], "--reps"),
+    ],
+)
+def test_flag_given_a_double_dash_value_exits_two_with_one_error_line(argv, flag):
+    code, calls, out, err = _recorded_main(argv)
+    assert (code, calls, out) == (2, [], "")
+    _assert_one_error_line(argv[0], err)
+    # argparse 3.13 hands the "--" to the flag's own check, whose message
+    # names the flag as "-d/--digits"
+    assert f"{flag}: " in err.splitlines()[-1]

@@ -179,6 +179,34 @@ def test_direct_sum_enclosure_within_bound(k, digits):
         assert abs(value - mp.zeta(2 * k)) < mp.mpf(10) ** -(digits + 2)
 
 
+def test_enclosure_never_needs_more_terms_than_plain_truncation():
+    """M <= N on the whole grid, so refusing when M is over the budget
+    refuses no input that plain truncation could have summed."""
+    for k in range(1, 61):
+        for digits in [*range(1, 121), 200, 400, 1000]:
+            cfg = PrecisionConfig(digits=digits)
+            assert _enclosure_terms(k, cfg) <= direct_sum_terms(k, cfg), (k, digits)
+
+
+@pytest.mark.parametrize("k,digits", [(2, 10), (3, 30), (5, 30), (8, 60), (10, 60)])
+def test_direct_sum_within_budget_sums_to_the_enclosure(monkeypatch, k, digits):
+    """Even where N fits the budget, the oracle sums M terms plus the bracket midpoint."""
+    cfg = PrecisionConfig(digits=digits)
+    assert direct_sum_terms(k, cfg) <= cfg.max_sum_terms
+    m = _enclosure_terms(k, cfg)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return _tail_bracket(*args)
+
+    monkeypatch.setattr(precision, "_tail_bracket", recorded)
+    value = zeta_direct_sum(k, cfg).value
+    assert calls[-1:] == [(k, m)]
+    with mp.workdps(digits + 30):
+        assert abs(value - mp.zeta(2 * k)) < mp.mpf(10) ** -(digits + 2)
+
+
 @pytest.mark.parametrize(
     "k,digits,expected",
     [
@@ -197,6 +225,12 @@ def test_zeta_eval_digit_strings(k, digits, expected):
 def test_zeta_eval_rejects_k_zero():
     with pytest.raises(ValueError):
         zeta_eval(0, PrecisionConfig(digits=5), Fraction(1, 6))
+
+
+def test_direct_sum_rejects_k_zero():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            zeta_direct_sum(k, PrecisionConfig(digits=5))
 
 
 def test_oracle_agreement_30_digits():
