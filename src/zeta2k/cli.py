@@ -54,10 +54,11 @@ _MAX_DIGITS = 400_000
 # budget is the largest single k at the default 3 reps, about 110 s
 _BENCH_BUDGET = 3 * (2 * _MAX_BENCH_K) ** 4
 # fourier runs one quadrature per (k, n), and its precision and panels grow
-# with both (cold -k 20, 40, 60, 70 -n 1: 0.68, 2.2, 9.8, 14.2 s; -k 40 -n 1,
-# 8, 16, 20: 2.2, 10.5, 22.3, 31.7 s), so each flag is capped at that corner
+# with both (cold -k 40, 45, 50 -n 20: 8.3-10.5, 13.4, 22.3 s; -k 40 -n 30,
+# 40, 50: 17.0, 20.6-27.9, 37.4 s; -k 45 -n 30: 23.5-31.1 s), so each flag
+# is capped at the corner -k 40 -n 40
 _MAX_FOURIER_K = 40
-_MAX_FOURIER_N = 20
+_MAX_FOURIER_N = 40
 # eval's table and pi add (cold eval -k 1000 -d 200000: 10.1 s against 2.4
 # and 7.6 s apart; -k 2000 -d 400000: 52 s), so the pair is held to 30 s of
 # the fitted sum: 26 s at -k 2000 (cold -k 1500: 9.9 s) and 28 s at -d

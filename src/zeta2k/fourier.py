@@ -31,9 +31,9 @@ the test suite checks it against the literal product.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -176,14 +176,13 @@ def b_product_closed(k: int, j: int, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# numerical oracle
+# numerical oracle, on plain ints in binary fixed point: an int v stands for
+# v / 2**bits
 
-# get_nodes sets mp.prec while it builds nodes and the estimates run under
-# mp.workdps; one quadrature at a time keeps each at its own precision
-_QUADRATURE_LOCK = threading.Lock()
-# mpmath's GaussLegendre rule, which caches its nodes per precision; built
-# under the lock by the first quadrature, so only the oracle loads mpmath
-_gauss_legendre = None
+_NODES = 24  # Gauss-Legendre points per panel, exact to degree 47
+_GUARD_BITS = 40  # working bits past the precision of the result
+_HALVINGS = 8  # cos takes its Taylor series at 1/2**_HALVINGS of its argument
+_RULES = 64  # node sets kept, one per working precision, about 2 KB each
 
 
 def _quad_dps(k: int, tol: float) -> int:
@@ -194,22 +193,102 @@ def _quad_dps(k: int, tol: float) -> int:
     return magnitude_digits + tol_digits + 16
 
 
+def _legendre(x: int, bits: int) -> tuple[int, int]:
+    """P_24(x) and P_23(x) by the three-term recurrence."""
+    p_prev, p = 1 << bits, x
+    for j in range(1, _NODES):
+        p_prev, p = p, ((2 * j + 1) * (x * p >> bits) - j * p_prev) // (j + 1)
+    return p, p_prev
+
+
+@lru_cache(maxsize=_RULES)
+def _legendre_rule(bits: int) -> tuple[tuple[int, int], ...]:
+    """The 24-point Gauss-Legendre rule on [-1, 1]: its 12 positive nodes, x = 1 down.
+
+    Each is a (node, weight) pair; the negative nodes mirror them, with
+    the same weights.  Each positive root of P_24 is found by Newton's
+    method from its float asymptotic value,
+    x -= P_24(x) * (1 - x^2) / (24 * (P_23(x) - x*P_24(x))), until a step
+    is below 16 units of the last place; its weight is
+    2 * (1 - x^2) / (24 * P_23(x))^2, which is 2 / ((1 - x^2) * P_24'(x)^2)
+    at a root.
+    """
+    one = 1 << bits
+    half = []
+    for i in range(1, _NODES // 2 + 1):
+        guess = math.cos(math.pi * (4 * i - 1) / (4 * _NODES + 2))
+        x = int(math.ldexp(guess, 53)) << (bits - 53)
+        while True:
+            p, q = _legendre(x, bits)
+            dx = p * ((one * one - x * x) >> bits) // (_NODES * (q - (x * p >> bits)))
+            x -= dx
+            if abs(dx) < 16:
+                break
+        _, q = _legendre(x, bits)
+        weight = ((one * one - x * x) << (bits + 1)) // (_NODES * _NODES * q * q)
+        half.append((x, weight))
+    return tuple(half)
+
+
+def _fixed_pow(u: int, e: int, bits: int) -> int:
+    """u**e for e >= 1 by square and multiply, each product cut to bits."""
+    result = None
+    while True:
+        if e & 1:
+            result = u if result is None else result * u >> bits
+        e >>= 1
+        if not e:
+            return result
+        u = u * u >> bits
+
+
+def _fixed_cos(v: int, pi: int, bits: int) -> int:
+    """cos(v) for v >= 0: reduced into [0, pi], halved, Taylor, doubled back."""
+    one = 1 << bits
+    v %= 2 * pi
+    if v > pi:
+        v = 2 * pi - v
+    z2 = v * v >> (bits + 2 * _HALVINGS)  # (v / 2**_HALVINGS)**2
+    total = term = one
+    m = 0
+    while term:
+        m += 2
+        term = (term * z2 >> bits) // ((m - 1) * m)
+        total += -term if m & 2 else term
+    for _ in range(_HALVINGS):
+        total = (total * total >> (bits - 1)) - one  # cos 2a = 2 cos^2 a - 1
+    return total
+
+
 def cosine_coeff_quadrature(
     k: int, n: int, tol: float, max_doublings: int = 20
 ) -> HighPrecReal:
     """(2/pi) * integral of (x-pi)^(2k) cos(nx) over [0, pi], adaptively.
 
     Composite 24-point Gauss-Legendre panels, doubling the panel count
-    until two successive estimates differ by less than tol/2.  Runs in
-    software arbitrary precision so tol is honored even where the
-    coefficient magnitude exceeds float range.  Summation order is fixed,
-    so results are reproducible run to run.
+    until two successive estimates of the integral differ by less than
+    tol/2.  The work runs on plain ints in binary fixed point with W
+    fractional bits, W the bit precision of _quad_dps + 10 digits plus 40
+    guard bits, so tol is honored even where the coefficient magnitude
+    exceeds float range, and results are the same from run to run.  It
+    has no lock and needs none: it shares nothing between calls but the
+    memos of pi and of the node sets, and it never reads or sets mpmath's
+    working precision, so it is safe to call from several threads at
+    once.  pi is the package's checked ``pi_value`` cut to W bits.  The value is a raw mpf at the bit precision of _quad_dps
+    digits, so mpmath loads only when ``.value`` is read.
 
-    The work runs at mpmath's process-wide precision, so calls hold one
-    module lock and concurrent quadratures cannot see each other's
-    precision.  Another thread that sets ``mp.prec`` itself (directly or
-    through ``mp.workdps``) while a quadrature runs still changes its
-    result.
+    Error bound, in units of 2^-W.  At each point t, u = pi - t is off by
+    at most 3, so u^(2k), by square and multiply with one cut per product,
+    is off by at most (6k + 2*log2(2k)) * pi^(2k).  cos(nu) is off by at
+    most 3n from the reduction of nu mod 2*pi and 2T + 3 from its T-term
+    Taylor series, which the eight double-angle steps c -> 2c^2 - 1 can
+    amplify fourfold each, 2^16 in all.  The nodes and weights are exact
+    to 2^16.  Products are summed exactly, and of the up to 24 * 2^21
+    points summed, each counts its weight over P, the panel count, with
+    weights adding up to 2 in each panel.  So the estimate of the
+    coefficient is off by at most about 2^(20-W) * (2T + k + n) * pi^(2k),
+    which is about 10^-(dps+17) * (2T + k + n) * 10^k: as dps counts k
+    digits past tol's, far below tol.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -217,50 +296,50 @@ def cosine_coeff_quadrature(
         raise ValueError(f"n must be >= 1, got {n}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    from mpmath import mp
-    from mpmath.calculus.quadrature import GaussLegendre
-    from mpmath.libmp import dps_to_prec
+    from .precision import HighPrecReal, PrecisionConfig, _dps_to_prec, _normalize, pi_value
 
-    from .precision import HighPrecReal
-
-    global _gauss_legendre
     dps = _quad_dps(k, tol)
     digits = max(1, -math.floor(math.log10(tol)))
-    with _QUADRATURE_LOCK, mp.workdps(dps):
-        if _gauss_legendre is None:
-            _gauss_legendre = GaussLegendre(mp)
-        # degree 4 is 3 * 2**3 = 24 nodes on [-1, 1], built 10 digits past dps.
-        # mpmath lists them in +-x pairs; they are summed from x = 1 down, and
-        # that order fixes the last bits of every estimate.
-        nodes = sorted(
-            _gauss_legendre.get_nodes(-1, 1, 4, dps_to_prec(dps + 10)), reverse=True
-        )
-        pi = +mp.pi
-        two_k = 2 * k
-        tol_half = mp.mpf(tol) / 2
+    prec = _dps_to_prec(dps)
+    bits = _dps_to_prec(dps + 10) + _GUARD_BITS
+    rule = _legendre_rule(bits)
+    # bits/3 digits, with pi_value's 15 guard digits, are more than bits
+    _, man, exp, _ = pi_value(PrecisionConfig(digits=bits // 3))._raw
+    pi = (man << bits) >> -exp
+    two_k = 2 * k
+    tol_num, tol_den = float(tol).as_integer_ratio()
 
-        def estimate(panels: int):
-            h = pi / panels
-            half = h / 2
-            acc = mp.mpf(0)
-            for p in range(panels):
-                mid = p * h + half
-                for x, w in nodes:
-                    t = mid + half * x
-                    acc += w * (t - pi) ** two_k * mp.cos(n * t)
-            return acc * half
+    def estimate(doubling: int) -> int:
+        # P = 2**doubling panels; the sum is scaled by 2**(3*bits).  Node x of
+        # panel p is t = pi*(2p + 1 + x)/(2P), and node -x of panel P - 1 - p
+        # is pi - t; with u = pi - t the pair adds
+        # w * ((-1)^n u^(2k) + (pi - u)^(2k)) * cos(nu), one cos for both.
+        panels = 1 << doubling
+        shift = bits + doubling + 1
+        acc = 0
+        for p in range(panels):
+            base = (2 * (panels - p) - 1) << bits
+            for x, w in rule:
+                u = pi * (base - x) >> shift
+                near = _fixed_pow(u, two_k, bits)
+                far = _fixed_pow(pi - u, two_k, bits)
+                acc += w * (far - near if n & 1 else far + near) * _fixed_cos(n * u, pi, bits)
+        return acc
 
-        best = estimate(1)
-        panels = 1
-        for _ in range(max_doublings):
-            panels *= 2
-            current = estimate(panels)
-            if abs(current - best) < tol_half:
-                return HighPrecReal(digits=digits, value=2 / pi * current)
-            best = current
-        raise QuadratureError(
-            HighPrecReal(digits=digits, value=2 / pi * best), tol, panels
-        )
+    def coefficient(acc: int, doubling: int) -> HighPrecReal:
+        value = _normalize(int(acc < 0), abs(acc), -3 * bits - doubling, prec)
+        return HighPrecReal(digits=digits, value=value)
+
+    doubling = 0
+    best = estimate(doubling)
+    while doubling < max_doublings:
+        doubling += 1
+        current = estimate(doubling)
+        # the integrals are pi/2 times the coefficients, acc / (P * 2**(3*bits))
+        if pi * abs(current - 2 * best) * tol_den < tol_num << (4 * bits + doubling):
+            return coefficient(current, doubling)
+        best = current
+    raise QuadratureError(coefficient(best, doubling), tol, 1 << doubling)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from zeta2k.fourier import (
     reconstruct,
     reconstruction_residual,
 )
+from zeta2k.fourier import _legendre_rule
 
 
 @pytest.mark.parametrize("k,expected", [(0, Fraction(1)), (1, Fraction(1, 3)), (2, Fraction(1, 5))])
@@ -243,6 +244,28 @@ def test_quadrature_validates_inputs():
     ):
         with pytest.raises(ValueError):
             bad_call()
+
+
+@pytest.mark.parametrize("bits", [100, 400, 1100])
+def test_legendre_nodes_integrate_even_powers_exactly(bits):
+    """The 24-point rule integrates x^(2j) over [-1, 1] for j <= 23, to 2^-(bits-16)."""
+    rule = _legendre_rule(bits)
+    nodes = [Fraction(x, 2**bits) for x, _ in rule]
+    assert len(nodes) == 12
+    assert nodes == sorted(nodes, reverse=True) and 0 < nodes[-1] and nodes[0] < 1
+    for j in range(24):
+        # the negative nodes mirror the positive ones, so each even power counts twice
+        total = 2 * sum(Fraction(w, 2**bits) * x ** (2 * j) for x, (_, w) in zip(nodes, rule))
+        assert abs(total - Fraction(2, 2 * j + 1)) < Fraction(1, 2 ** (bits - 16)), j
+
+
+def test_quadrature_ignores_mpmath_working_precision():
+    import mpmath
+
+    expected = cosine_coeff_quadrature(3, 5, 1e-12).value._mpf_
+    for prec in (20, 2000):
+        with mpmath.mp.workprec(prec):
+            assert cosine_coeff_quadrature(3, 5, 1e-12).value._mpf_ == expected, prec
 
 
 def test_reconstruct_vanishes_at_pi():

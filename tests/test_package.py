@@ -154,6 +154,17 @@ def test_results_load_mpmath_on_first_value_read(call):
     assert modules_loaded(code + "x.value\n", {"mpmath"}) == {"mpmath"}
 
 
+def test_quadrature_loads_mpmath_on_first_value_read():
+    code = (
+        "from zeta2k.fourier import cosine_coeff_quadrature\n"
+        "from zeta2k.precision import format_real\n"
+        "x = cosine_coeff_quadrature(3, 5, 1e-12)\n"
+        "format_real(x)\n"
+    )
+    assert modules_loaded(code, {"mpmath"}) == set()
+    assert modules_loaded(code + "x.value\n", {"mpmath"}) == {"mpmath"}
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from zeta2k import *", namespace)

@@ -234,8 +234,8 @@ def test_direct_sum_rejects_k_zero():
 
 
 def test_oracle_agreement_30_digits():
-    # k = 2 takes the tail-enclosure route, tested on its own above; the
-    # acceptance suite runs all four legs
+    # every k sums the tail enclosure's M terms; k = 2 is tested on its own
+    # above, and the acceptance suite runs all four legs
     table = ZetaCoeffTable(10)
     cfg = PrecisionConfig(digits=30)
     for k in (3, 5, 10):
@@ -255,7 +255,7 @@ def test_precision_stability():
 
 
 def test_bound_honesty_k2_d10():
-    """truncated sum <= zeta_eval <= truncated sum + analytic tail bound"""
+    """direct sum <= zeta_eval <= direct sum + plain truncation's tail bound at N"""
     cfg = PrecisionConfig(digits=10)
     n = direct_sum_terms(2, cfg)
     partial = zeta_direct_sum(2, cfg)
@@ -384,7 +384,11 @@ def test_pi_self_check_failure_raises(monkeypatch, cold_pi_cache, corrupt):
 
 
 def test_pi_cache_slices_smaller_requests(chudnovsky_runs):
-    """A smaller request than a cached one runs its own checked pair."""
+    """A smaller request than a cached one runs its own checked pair.
+
+    The name is historical: pi is no longer sliced from a longer cached
+    run.
+    """
     pi_value(PrecisionConfig(digits=400))
     assert chudnovsky_runs == [415, 430]
     chudnovsky_runs.clear()
