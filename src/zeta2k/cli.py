@@ -46,8 +46,8 @@ _MAX_K = 2000
 _MAX_VERIFY_K = 1200
 _MAX_BERNOULLI_INDEX = 2500
 _MAX_BENCH_K = _MAX_BERNOULLI_INDEX // 2
-# eval's digits: pi's two Chudnovsky runs and the power grow about D^1.9
-# (cold eval -k 10 -d 50000, 100000, 200000, 400000: 0.63, 1.9, 7.5, 28 s)
+# eval's digits: pi's Chudnovsky run and the power grow about D^1.9 (cold
+# eval -k 10 -d 50000, 100000, 200000, 400000: 0.34, 1.1, 4.0-4.4, 16 s)
 _MAX_DIGITS = 400_000
 # bench's total work: every rep of every k builds the Bernoulli table to
 # index 2k, about (2k)^4, so a run costs about reps * sum((2k)^4); the
@@ -62,7 +62,8 @@ _MAX_FOURIER_N = 40
 # eval's table and pi add (cold eval -k 1000 -d 200000: 10.1 s against 2.4
 # and 7.6 s apart; -k 2000 -d 400000: 52 s), so the pair is held to 30 s of
 # the fitted sum: 26 s at -k 2000 (cold -k 1500: 9.9 s) and 28 s at -d
-# 400000 (cold -d 200000, 300000: 7.6, 17.1 s)
+# 400000 (cold -d 200000, 300000: 7.6, 17.1 s); fitted while pi took a
+# second run, it now reads high at every corner timed (README)
 _EVAL_BUDGET_S = 30
 _EVAL_BUDGET_TEXT = f"26*(K/{_MAX_K})^3.1 + 28*(D/{_MAX_DIGITS})^1.9 <= {_EVAL_BUDGET_S}"
 

@@ -274,8 +274,10 @@ def cosine_coeff_quadrature(
     has no lock and needs none: it shares nothing between calls but the
     memos of pi and of the node sets, and it never reads or sets mpmath's
     working precision, so it is safe to call from several threads at
-    once.  pi is the package's checked ``pi_value`` cut to W bits.  The value is a raw mpf at the bit precision of _quad_dps
-    digits, so mpmath loads only when ``.value`` is read.
+    once.  pi is the package's ``pi_value``, one Chudnovsky run with a
+    proven error bound, cut to W bits.  The value is a raw mpf at the bit
+    precision of _quad_dps digits, so mpmath loads only when ``.value`` is
+    read.
 
     Error bound, in units of 2^-W.  At each point t, u = pi - t is off by
     at most 3, so u^(2k), by square and multiply with one cut per product,

@@ -3,11 +3,11 @@
 Two routes to the same number:
 
 * ``zeta_eval`` multiplies an exact coefficient c_k by pi^(2k), with pi
-  computed in-house (Chudnovsky binary splitting over plain integers) and
-  self-checked by a second run at a higher guard level.  Checked pi is
+  computed in-house by one Chudnovsky run (binary splitting over plain
+  integers) whose error is proven under 2 units in its last digit.  pi is
   memoized in binary for the 16 most recent precisions, so repeated
   evaluations pay for the power and the rendering only.  ``pi_digits``
-  prints from its own checked pair of runs.  The power is
+  prints from its own run.  The power is
   libmp's square and multiply: a ladder of repeated squares of pi, each
   cut to a working precision that depends only on the precision and
   the bit length of 2k, and one multiply per set bit of 2k.  Ladders are
@@ -282,59 +282,73 @@ def _chud_split(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _pi_scaled(frac_digits: int) -> int:
-    """floor(pi * 10**frac_digits). Each series term adds ~14.18 digits."""
+    """S with |pi * 10**f - S| < _PI_ERROR = 2 (f = frac_digits), in one run.
+
+    So S is floor(pi * 10**f) or one unit either side.  With work = f + 10
+    the run sums t_a, a < N = work // 14 + 2, as T/Q, where the whole series
+    is 426880 * sqrt(10005) / pi.  Errors, in units of 10**-work (so "pi"
+    below is pi * 10**work):
+
+    * Series tail.  t_a alternates in sign; |t_(a+1) / t_a| is
+      8(6a+1)(6a+3)(6a+5)/(a+1)^3 (under 1728) times L_(a+1)/L_a (at most
+      1.5 from a = 2; L_a = 13591409 + 545140134a) over 640320^3: below
+      1.9e-14 at a = 0, and below 1e-14 after (about 1369/640320^3 at a = 1).
+      So T/Q > t_0 * (1 - 2e-14), and the tail is under
+      |t_N| < 1.9 * 10**(-14N) * t_0 <= 1.9 * 10**-(work+15) * t_0, as
+      14N >= work + 15: the pi of the sum, 426880 * sqrt(10005) * Q/T, is
+      within 7e-15 of pi.
+    * ``isqrt`` is low by under 1, which lowers q*426880*root/t by under
+      426880 * q/t < 0.0315; the floor of ``// t`` drops under 1 more.
+      So the quotient is in (pi - 1.04, pi + 1e-14).
+    * ``// 10**10`` floors it to units of 10**-f:
+      -1e-24 < pi * 10**f - S < 1 + 1.04e-10.
+    """
     work = frac_digits + 10
     _, q, t = _chud_split(0, work // 14 + 2)
     root = isqrt(10005 * 10 ** (2 * work))
     return (q * 426880 * root // t) // 10**10
 
 
-def _pi_checked(d1: int, d2: int) -> int:
-    """floor(pi * 10**d2), with its first d1 < d2 digits cross-checked.
-
-    pi is computed to d1 and to d2 fractional digits, and the two runs
-    must agree on the first d1.
-    """
-    first = _pi_scaled(d1)
-    second = _pi_scaled(d2)
-    if second // 10 ** (d2 - d1) != first:
-        raise RuntimeError(
-            f"pi self-check failed: {d1}- and {d2}-digit runs disagree"
-        )
-    return second
+_PI_ERROR = 2  # the bound proven in _pi_scaled's docstring
 
 
 def pi_digits(frac_digits: int) -> str:
     """pi truncated to the given number of fractional digits, as text.
 
-    Every digit is cross-checked: the text is the checked part of a run
-    15 digits longer (see ``pi_value``).
+    One run 15 digits longer, cut to length: the cut is the floor of pi
+    unless the digits cut off are within _PI_ERROR of 0 or of 10**15, where
+    pi may lie on either side of it; then the run is redone 15 digits
+    longer, until the cut is sure.
     """
     if frac_digits < 1:
         raise ValueError("frac_digits must be >= 1")
-    s = _int_str(_pi_checked(frac_digits, frac_digits + 15) // 10**15)
+    extra = 15
+    while True:
+        scaled = _pi_scaled(frac_digits + extra)
+        if _PI_ERROR <= scaled % 10**extra <= 10**extra - _PI_ERROR:
+            break
+        extra += 15
+    s = _int_str(scaled // 10**extra)
     return f"{s[0]}.{s[1:]}"
 
 
 def pi_value(cfg: PrecisionConfig) -> HighPrecReal:
-    """pi to digits+2*guard, its first digits+guard digits cross-checked.
+    """pi from one run to digits+2*guard digits, within 2 units of the last.
 
-    The check (two Chudnovsky runs, at digits+guard and digits+2*guard,
-    must agree) runs once per precision while that precision is among the
+    The run is made once per precision while that precision is among the
     16 most recently used: the raw mpf is memoized and shared between calls.
     """
-    value = _pi_mpf(cfg.digits + cfg.guard, cfg.digits + 2 * cfg.guard)
-    return HighPrecReal(digits=cfg.digits, value=value)
+    return HighPrecReal(digits=cfg.digits, value=_pi_mpf(cfg.digits + 2 * cfg.guard))
 
 
-# pi is kept in binary for this many precisions (d1, d2)
+# pi is kept in binary for this many lengths d
 _PI_PRECISIONS = 16
 
 
 @lru_cache(maxsize=_PI_PRECISIONS)
-def _pi_mpf(d1: int, d2: int) -> tuple:
-    # raw mpf of pi_scaled / 10**d2 at d2+10 digits; both ints fit that exactly
-    return _quotient(_pi_checked(d1, d2), 10**d2, _dps_to_prec(d2 + 10))
+def _pi_mpf(d: int) -> tuple:
+    # raw mpf of pi_scaled / 10**d at d+10 digits; both ints fit that exactly
+    return _quotient(_pi_scaled(d), 10**d, _dps_to_prec(d + 10))
 
 
 # ---------------------------------------------------------------------------

@@ -170,12 +170,13 @@ def test_criterion_7_series_convergence_at_zero():
 def test_criterion_8_decimal_oracle_agreement():
     """k in {2,3,5,10} at 30 digits, within the 10^8 term budget and 10 s.
 
-    k in {3,5,10} fit the budget by plain truncation.  At k=2 plain
-    truncation would need N = 32,182,979,487 terms, 322x the budget, so
-    the oracle sums M = 1,903,654 terms and adds the midpoint of the
-    trapezoid/midpoint-rule bracket on the tail of the convex x^(-2k).
-    The bracket is elementary rationals, with no Bernoulli numbers and
-    nothing from the coefficient backends, so the check stays independent.
+    At every k the oracle sums the tail enclosure's M terms and adds the
+    midpoint of the trapezoid/midpoint-rule bracket on the tail of the
+    convex x^(-2k) (M = 1,903,654 at k=2, 33 at k=10).  Plain truncation's
+    cutoff N appears only in the error raised when M is over the budget;
+    at k=2 it would be 32,182,979,487 terms, 322x the budget.  The bracket
+    is elementary rationals, with no Bernoulli numbers and nothing from
+    the coefficient backends, so the check stays independent.
     """
     t0 = time.perf_counter()
     cfg = PrecisionConfig(digits=30)

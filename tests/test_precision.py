@@ -330,7 +330,7 @@ def test_pi_digits_and_scientific_format_beyond_the_int_to_str_limit():
     assert text == "1.5" + "0" * 4399 + "e-07"
 
 
-# --- the checked pi cache ----------------------------------------------------
+# --- pi from one run, and its memo -------------------------------------------
 
 def _fresh_pi(cfg):
     """The uncached pi_value: one run at digits+2*guard, divided at +10 digits."""
@@ -360,65 +360,87 @@ def chudnovsky_runs(monkeypatch, cold_pi_cache):
     return runs
 
 
-@pytest.mark.parametrize("corrupt", ["short run", "long run"])
-def test_pi_self_check_failure_raises(monkeypatch, cold_pi_cache, corrupt):
-    cfg = PrecisionConfig(digits=40)
-    d1, d2 = 55, 70
-
-    def corrupted(frac_digits):
-        if corrupt == "short run" and frac_digits == d1:
-            return _pi_scaled(frac_digits) + 1  # last digit of the short run
-        if corrupt == "long run" and frac_digits == d2:
-            return _pi_scaled(frac_digits) + 10 ** (d2 - d1)  # digit d1 of the long run
-        return _pi_scaled(frac_digits)
-
-    monkeypatch.setattr(precision, "_pi_scaled", corrupted)
-    with pytest.raises(RuntimeError, match="self-check failed"):
-        pi_value(cfg)
-    with pytest.raises(RuntimeError, match="self-check failed"):
-        pi_digits(d1)  # the same pair of runs: 55 and 55+15
-    # a failed check caches nothing
-    assert precision._pi_mpf.cache_info().currsize == 0
-    monkeypatch.setattr(precision, "_pi_scaled", _pi_scaled)
-    assert pi_value(cfg).value._mpf_ == _fresh_pi(cfg)
-
-
 def test_pi_cache_slices_smaller_requests(chudnovsky_runs):
-    """A smaller request than a cached one runs its own checked pair.
+    """A smaller request than a cached one runs its own Chudnovsky run.
 
     The name is historical: pi is no longer sliced from a longer cached
     run.
     """
     pi_value(PrecisionConfig(digits=400))
-    assert chudnovsky_runs == [415, 430]
+    assert chudnovsky_runs == [430]
     chudnovsky_runs.clear()
     pi_value(PrecisionConfig(digits=400))
     assert chudnovsky_runs == []  # a repeat is served by the memo
     for digits in (385, 50, 1, 100):
         cfg = PrecisionConfig(digits=digits)
         assert pi_value(cfg).value._mpf_ == _fresh_pi(cfg), digits
-    assert chudnovsky_runs == [400, 415, 65, 80, 16, 31, 115, 130]
+    assert chudnovsky_runs == [415, 80, 31, 130]
     chudnovsky_runs.clear()
     assert pi_digits(415) == f"3.{str(_pi_scaled(415))[1:]}"
-    assert chudnovsky_runs == [415, 430]  # pi_digits is not memoized
+    assert chudnovsky_runs == [430]  # pi_digits is not memoized
 
 
 def test_pi_cache_larger_request_reruns_both_lengths(chudnovsky_runs):
     pi_value(PrecisionConfig(digits=100))
     pi_value(PrecisionConfig(digits=300))
-    assert chudnovsky_runs == [115, 130, 315, 330]
+    assert chudnovsky_runs == [130, 330]
     chudnovsky_runs.clear()
     pi_value(PrecisionConfig(digits=100))
-    pi_digits(316)  # a memo hit, then pi_digits runs its own pair
-    assert chudnovsky_runs == [316, 331]
+    pi_digits(316)  # a memo hit, then pi_digits makes its own run
+    assert chudnovsky_runs == [331]
 
 
 def test_pi_cache_serves_only_checked_digits(chudnovsky_runs):
-    """Digits the cache holds but no second run confirmed are not served."""
-    pi_value(PrecisionConfig(digits=100, guard=100))  # checked 200, holds 300
-    cfg = PrecisionConfig(digits=250)  # wants 265 checked of 280
+    """A longer run in the memo is not cut down to serve a shorter request."""
+    pi_value(PrecisionConfig(digits=100, guard=100))  # holds 300
+    cfg = PrecisionConfig(digits=250)  # wants 280
     assert pi_value(cfg).value._mpf_ == _fresh_pi(cfg)
-    assert chudnovsky_runs == [200, 300, 265, 280]
+    assert chudnovsky_runs == [300, 280]
+
+
+# every length to 600, both sides of the 4300-digit int->str limit, the
+# lengths pi_value runs at D = 4600 and 5200, and a long run
+PI_LENGTHS = [*range(1, 601), 4299, 4300, 4630, 5230, 20000]
+
+
+def test_pi_scaled_is_within_its_proven_bound():
+    far = []
+    for f in PI_LENGTHS:
+        with mp.workdps(f + 30):
+            if not abs(mp.pi * mp.mpf(10) ** f - _pi_scaled(f)) < precision._PI_ERROR:
+                far.append(f)
+    assert far == []
+
+
+def test_pi_runs_15_digits_apart_agree():
+    """The comparison pi_value once made on every cold run, as a test."""
+    differ = [f for f in PI_LENGTHS if _pi_scaled(f + 15) // 10**15 != _pi_scaled(f)]
+    assert differ == []
+
+
+@pytest.mark.parametrize("tail", ["fifteen 9s", "fifteen 0s"])
+def test_pi_digits_reruns_when_the_cut_is_unsure(monkeypatch, tail):
+    runs = []
+
+    def first_run_at_a_boundary(frac_digits):
+        runs.append(frac_digits)
+        scaled = _pi_scaled(frac_digits)
+        if len(runs) > 1:
+            return scaled
+        head = scaled // 10**15
+        # one unit below or at the next cut: cut as is, it would be off by one
+        return head * 10**15 - 1 if tail == "fifteen 9s" else (head + 1) * 10**15
+
+    monkeypatch.setattr(precision, "_pi_scaled", first_run_at_a_boundary)
+    assert pi_digits(50) == PI_50
+    assert runs == [65, 80]
+
+
+def test_cold_pi_value_and_pi_digits_make_one_run_each(chudnovsky_runs):
+    pi_value(PrecisionConfig(digits=60))
+    assert chudnovsky_runs == [90]
+    assert pi_digits(60) == PI_50 + "5820974944"
+    assert chudnovsky_runs == [90, 75]
 
 
 def test_pi_cache_threads_get_cold_identical_values(cold_pi_cache):
