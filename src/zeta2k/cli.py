@@ -17,7 +17,6 @@ import stat
 import sys
 import tempfile
 from fractions import Fraction
-from math import prod
 
 # These three use the standard library only, and not dataclasses.  Every
 # other module loads inside the subcommands that need it: mpmath for
@@ -276,10 +275,9 @@ def _first_verify_failure(max_k: int):
             if closed.substitute(n) != recursive_poly:
                 return k, f"cosine coefficient mismatch at n={n}"
         for n in (1, 2, 3):
+            direct = Fraction(1)  # b_k * b_(k-1) * ... * b_(k-j)
             for j in range(k):
-                direct = prod(
-                    (b_factor(k - i, n) for i in range(j + 1)), start=Fraction(1)
-                )
+                direct *= b_factor(k - j, n)
                 if direct != b_product_closed(k, j, n):
                     return k, f"b-product mismatch at j={j}, n={n}"
     return None

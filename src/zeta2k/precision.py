@@ -156,13 +156,20 @@ class InfeasiblePrecisionError(Exception):
 #
 # Values are raw mpfs (sign, man, exp, bc) = (-1)**sign * man * 2**exp,
 # with man odd (or the zero (0, 0, 0, 0)) and bc its bit length.  These
-# are mpmath.libmp's dps_to_prec, from_int, mpf_mul, mpf_div and
-# mpf_pow_int at round_nearest, bit for bit (the tests compare them), for
-# finite inputs and exponents n >= 1.
+# round as mpmath.libmp does at round_nearest, bit for bit (the tests
+# compare them): _dps_to_prec is dps_to_prec, _normalize is from_man_exp,
+# _mpf_pow_int is mpf_pow_int for finite bases and n >= 1, and _quotient
+# is mpf_div(from_int(num, prec), from_int(den), prec).
 
 
 def _dps_to_prec(dps: int) -> int:
     return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
+
+
+def _shift_half_even(man: int, n: int) -> int:
+    """man / 2**n rounded half to even, for man >= 0 and n >= 1."""
+    t = man >> (n - 1)  # the kept bits and the first dropped one
+    return (t >> 1) + bool(t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)))
 
 
 def _normalize(sign: int, man: int, exp: int, prec: int) -> tuple:
@@ -171,32 +178,11 @@ def _normalize(sign: int, man: int, exp: int, prec: int) -> tuple:
         return (0, 0, 0, 0)
     n = man.bit_length() - prec
     if prec and n > 0:
-        t = man >> (n - 1)  # the kept bits and the first dropped one
-        up = t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1))
-        man = (t >> 1) + bool(up)
+        man = _shift_half_even(man, n)
         exp += n
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
     return sign, man, exp + zeros, man.bit_length()
-
-
-def _from_int(n: int, prec: int = 0) -> tuple:
-    return _normalize(int(n < 0), abs(n), 0, prec)
-
-
-def _mpf_mul(s: tuple, t: tuple, prec: int) -> tuple:
-    return _normalize(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], prec)
-
-
-def _mpf_div(s: tuple, t: tuple, prec: int) -> tuple:
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    extra = max(5, prec - sbc + tbc + 5)
-    quot, rem = divmod(sman << extra, tman)
-    if rem:  # a sticky bit below the rounding point
-        quot = (quot << 1) + 1
-        extra += 1
-    return _normalize(ssign ^ tsign, quot, sexp - texp - extra, prec)
 
 
 def _mpf_pow_int(s: tuple, n: int, prec: int) -> tuple:
@@ -206,9 +192,18 @@ def _mpf_pow_int(s: tuple, n: int, prec: int) -> tuple:
     sign &= n  # even powers are positive
     if n == 2 or bc * n < 1000:  # where libmp takes the exact power
         return _normalize(sign, man**n, exp * n, prec)
+    # square and multiply: one multiply per set bit of n, lowest first, each
+    # partial product cut to workprec bits, as libmp does
     workprec = prec + 4 * n.bit_length() + 4
-    ladder = _ladder(man, exp, n.bit_length() - 1, workprec)
-    return _ladder_power(sign, ladder, n, workprec, prec)
+    pm, pe = 1, 0
+    for rung_man, rung_exp in _ladder(man, exp, n.bit_length() - 1, workprec):
+        if n & 1:
+            pm, pe = pm * rung_man, pe + rung_exp
+            cut = pm.bit_length() - workprec
+            if cut > 0:
+                pm, pe = pm >> cut, pe + cut
+        n >>= 1
+    return _normalize(sign, pm, pe, prec)
 
 
 # ladders memoized, the least recently used dropped first
@@ -238,26 +233,21 @@ def _ladder(man: int, exp: int, steps: int, workprec: int) -> tuple:
     return tuple(rungs)
 
 
-def _ladder_power(sign: int, ladder: tuple, n: int, workprec: int, prec: int) -> tuple:
-    """The product of the rungs that n's set bits pick, rounded to prec bits.
-
-    The rungs are multiplied in lowest bit first, every partial product
-    cut to workprec bits, as libmp does; the ladder has n.bit_length() rungs.
-    """
-    pm, pe = 1, 0
-    for man, exp in ladder:
-        if n & 1:
-            pm, pe = pm * man, pe + exp
-            cut = pm.bit_length() - workprec
-            if cut > 0:
-                pm, pe = pm >> cut, pe + cut
-        n >>= 1
-    return _normalize(sign, pm, pe, prec)
-
-
 def _quotient(num: int, den: int, prec: int) -> tuple:
-    """Raw mpf of num / den at prec bits, rounding to nearest."""
-    return _mpf_div(_from_int(num, prec), _from_int(den), prec)
+    """Raw mpf of num / den at prec bits, rounding to nearest.
+
+    num is first rounded to prec bits and den taken exactly, as libmp's
+    from_int does; a sticky bit below the quotient's rounding point keeps
+    a nonzero remainder from reading as a tie.
+    """
+    _, man, exp, bc = _normalize(0, abs(num), 0, prec)
+    _, dman, dexp, dbc = _normalize(0, abs(den), 0, 0)
+    extra = max(5, prec - bc + dbc + 5)
+    quot, rem = divmod(man << extra, dman)
+    if rem:
+        quot = (quot << 1) + 1
+        extra += 1
+    return _normalize(int((num < 0) ^ (den < 0)), quot, exp - dexp - extra, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +356,9 @@ def zeta_eval(k: int, cfg: PrecisionConfig, c_k: Fraction) -> HighPrecReal:
     # a small buffer past digits+guard so the guard digits are themselves
     # clean; the power loses only ~log10(2k) digits
     prec = _dps_to_prec(cfg.digits + cfg.guard + 10)
-    power = _mpf_pow_int(pi, 2 * k, prec)
-    value = _mpf_mul(_quotient(c_k.numerator, c_k.denominator, prec), power, prec)
+    q_sign, q_man, q_exp, _ = _quotient(c_k.numerator, c_k.denominator, prec)
+    p_sign, p_man, p_exp, _ = _mpf_pow_int(pi, 2 * k, prec)
+    value = _normalize(q_sign ^ p_sign, q_man * p_man, q_exp + p_exp, prec)
     return HighPrecReal(digits=cfg.digits, value=value)
 
 
@@ -538,9 +529,4 @@ def _round_half_even(num: int, den: int) -> int:
         return q + bool(2 * r > den or (2 * r == den and q & 1))
     # den = 2^shift, the mpf case: shifts and a mask, no long division
     shift = den.bit_length() - 1
-    if not shift:
-        return num
-    halves = num >> (shift - 1)  # floor(2 * num / den)
-    q = halves >> 1
-    sticky = num & ((1 << (shift - 1)) - 1)
-    return q + bool(halves & 1 and (sticky or q & 1))
+    return _shift_half_even(num, shift) if shift else num

@@ -10,10 +10,15 @@ before it.  The empty sum at k = 1 gives c_1 = 1/3! = 1/6, i.e.
 zeta(2) = pi^2/6.
 
 The table runs this recursion on integers.  With K the largest k wanted,
-L = lcm(1, ..., 2K+1) and Lambda = L * (2K)!, every P_m = Lambda * c_m is
-an integer: E_m = L * (2m)! * c_m is one, since (2m)! * c_m =
-2^(2m-1) * |B_2m| and the denominator of B_2m is a product of distinct
-primes p <= 2m+1.  Multiplying the identity by Lambda * (2k+1)! gives
+L = lcm(1, ..., 2K+1) and Lambda = 2 * (the odd part of L * (2K)!), every
+P_m = Lambda * c_m is an integer.  (2m)! * c_m = 2^(2m-1) * |B_2m|, and by
+von Staudt-Clausen the denominator of B_2m is a product of distinct primes
+p <= 2m+1, with 2 among them.  So L * (2m)! * c_m is an integer, which puts
+the odd part of c_m's denominator in L * (2K)!.  And B_2m has exactly one
+2 in its denominator and an odd numerator, so with v2((2m)!) = 2m - s2(m)
+(Legendre; s2 is the binary digit sum), v2(c_m) = (2m-1) - 1 - (2m - s2(m))
+= s2(m) - 2 >= -1: no c_m has more than one 2 in its denominator.
+Multiplying the identity by Lambda * (2k+1)! gives
 
     k * Lambda  =  sum_{m=1}^{k} (-1)^(m-1) * P_m * g_m,
     g_m = (2k+1)!/(2k-2m+1)!,
@@ -62,7 +67,8 @@ class ZetaCoeffTable:
     def __init__(self, max_k: int):
         if max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {max_k}")
-        scale = lcm(*range(1, 2 * max_k + 2)) * factorial(2 * max_k)  # Lambda
+        scale = lcm(*range(1, 2 * max_k + 2)) * factorial(2 * max_k)
+        scale >>= (scale & -scale).bit_length() - 2  # Lambda: one factor 2 kept
         scaled = []  # P_m = Lambda * c_m
         coeffs = []
         fact = 1  # (2k+1)!, advanced at the top of each step

@@ -98,6 +98,33 @@ def test_verify_reports_a_nonzero_residual(capsys, monkeypatch):
     assert (code, out) == (1, "FAIL k=5: consistency identity residual is nonzero\n")
 
 
+def test_verify_reports_a_wrong_b_factor(capsys, monkeypatch):
+    """A wrong b_3 at n = 2 breaks the first product that takes it, at k = 3."""
+    from zeta2k import fourier
+
+    real = fourier.b_factor
+
+    def broken(m, n):
+        return real(m, n) + (1 if (m, n) == (3, 2) else 0)
+
+    monkeypatch.setattr(fourier, "b_factor", broken)
+    code, out, _ = run(capsys, ["verify", "--max-k", "8"])
+    assert (code, out) == (1, "FAIL k=3: b-product mismatch at j=0, n=2\n")
+
+
+def test_verify_reports_a_wrong_b_product_closed_form(capsys, monkeypatch):
+    from zeta2k import fourier
+
+    real = fourier.b_product_closed
+
+    def broken(k, j, n):
+        return real(k, j, n) + (1 if (k, j, n) == (5, 3, 2) else 0)
+
+    monkeypatch.setattr(fourier, "b_product_closed", broken)
+    code, out, _ = run(capsys, ["verify", "--max-k", "8"])
+    assert (code, out) == (1, "FAIL k=5: b-product mismatch at j=3, n=2\n")
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, ["table", "--max-k", "3"])
     assert code == 0

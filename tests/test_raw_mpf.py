@@ -1,9 +1,11 @@
 """precision.py's integer binary floats against mpmath.libmp, bit for bit.
 
 ``zeta_eval``, ``pi_value`` and ``zeta_direct_sum`` round with a private
-port of five libmp functions so that they run without mpmath.  Every case
-here compares the port's raw ``(sign, man, exp, bc)`` tuple with libmp's at
-``round_nearest``; the port must agree exactly, not just in value.
+port of what they need of libmp (``dps_to_prec``, ``from_man_exp``,
+``mpf_pow_int``, and ``mpf_div`` of two ints) so that they run without
+mpmath.  Every case here compares the port's raw ``(sign, man, exp, bc)``
+tuple with libmp's at ``round_nearest``; the port must agree exactly, not
+just in value.  ``format_real`` shares the port's half-even cut.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import (
     dps_to_prec,
     from_int,
+    from_man_exp,
     mpf_div,
     mpf_mul,
     mpf_pow_int,
@@ -46,49 +49,47 @@ def test_dps_to_prec(dps):
     assert precision._dps_to_prec(dps) == dps_to_prec(dps)
 
 
-@settings(max_examples=200, deadline=None)
-@given(ints, st.integers(0, 4000))
-@example(0, 10)
-@example(-(2**70 - 1), 53)  # all ones: rounding carries into a new bit
-@example(-(3 << 200), 0)  # prec 0 keeps every bit
-@example(0b1001, 3)  # a tie, to even: down
-@example(-0b1011, 3)  # a tie, to even: up
-def test_from_int(n, prec):
-    assert precision._from_int(n, prec) == from_int(n, prec, round_nearest)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ints, ints, precs)
-@example(0, 5, 10)
-@example(-7, 3, 1)
-@example(3, 3, 3)  # 9 = 0b1001, a tie
-def test_mpf_mul(a, b, prec):
-    assert precision._mpf_mul(raw(a), raw(b), prec) == mpf_mul(
-        raw(a), raw(b), prec, round_nearest
-    )
-
-
 @settings(max_examples=300, deadline=None)
-@given(ints, nonzero, precs)
+@given(ints, st.integers(-200, 200), st.integers(0, 4000))
+@example(0, 0, 10)
+@example(-(2**70 - 1), 0, 53)  # all ones: rounding carries into a new bit
+@example(-(3 << 200), 0, 0)  # prec 0 keeps every bit
+@example(0b1001, 0, 3)  # a tie, to even: down
+@example(-0b1011, 0, 3)  # a tie, to even: up
+@example(9, 0, 3)  # 3 * 3 = 0b1001, a tie
+@example(-21, 0, 1)  # -7 * 3
+def test_normalize(man, exp, prec):
+    expected = from_man_exp(man, exp, prec, round_nearest)
+    assert precision._normalize(int(man < 0), abs(man), exp, prec) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**60), 10**60) | ints, st.integers(1, 10**60) | nonzero, precs)
 @example(-1, 3, 53)  # a negative numerator
 @example(1, 1 << 40, 10)  # a power-of-two denominator
 @example(-(5 << 900), 1 << 3, 7)
 @example(6 * 10**50, 3 * 10**50, 20)  # an exact quotient
-@example(10**400, -(5**400), 1300)
+@example(10**400, -(5**400), 1300)  # a negative denominator
 @example(0, 9, 5)
 @example(27, 3, 3)  # an exact tie
 @example(624139, 9579, 11)  # the remainder alone lifts it above a tie
-def test_mpf_div(a, b, prec):
-    assert precision._mpf_div(raw(a), raw(b), prec) == mpf_div(
-        raw(a), raw(b), prec, round_nearest
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(-(10**60), 10**60), st.integers(1, 10**60), precs)
 def test_quotient_is_from_int_then_mpf_div(num, den, prec):
     expected = mpf_div(from_int(num, prec, round_nearest), from_int(den), prec, round_nearest)
     assert precision._quotient(num, den, prec) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 3000) | st.integers(0, 300), st.integers(1, 200), st.booleans())
+@example(0, 1, False)
+@example(1, 1, True)  # 3/2: a tie, to even: up
+@example(2, 10, True)  # 5/2: a tie, to even: down
+@example((1 << 10) - 1, 10, False)  # just under 1: up to 1
+def test_round_half_even_by_power_of_two_is_the_divmod_rule(num, shift, tie):
+    if tie:  # num + 1/2, so the parity of num decides
+        num = (2 * num + 1) << (shift - 1)
+    den = 1 << shift
+    q, r = divmod(num, den)
+    assert precision._round_half_even(num, den) == q + bool(2 * r > den or (2 * r == den and q & 1))
 
 
 def _pow_branch(bc: int, n: int) -> str:

@@ -90,8 +90,8 @@ def test_csv_layout():
 
 def _assert_each_size_is_a_prefix(sizes):
     # tables are built once, so a table "grows" by building the next size
-    # afresh; each solves over its own Lambda = lcm(1..2K+1) * (2K)!, so equal
-    # prefixes show that no c_k depends on Lambda
+    # afresh; each solves over its own Lambda, 2 * the odd part of
+    # lcm(1..2K+1) * (2K)!, so equal prefixes show that no c_k depends on Lambda
     largest = ZetaCoeffTable(max(sizes)).coeffs
     for size in sizes:
         assert ZetaCoeffTable(size).coeffs == largest[:size]
@@ -102,7 +102,7 @@ def test_growing_one_entry_at_a_time_matches_fresh_table():
 
 
 def test_growing_in_uneven_steps_matches_fresh_table():
-    # L = lcm(1..2K+1) changes at every one of these sizes
+    # L = lcm(1..2K+1), and with it Lambda's odd part, differs at each of these sizes
     _assert_each_size_is_a_prefix((5, 17, 64, 150, 200))
 
 
