@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 __all__ = ["format_rational"]
@@ -41,23 +42,45 @@ def _table_text(header, rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Below Python's smallest allowed int->str limit (640 digits): 1900 bits
-# is at most 572 digits, so str() is safe on every piece.
-_STR_PIECE_BITS = 1900
+# Below Python's smallest allowed int->str limit (640 digits), so str() is
+# safe on every piece.
+_PIECE_DIGITS = 512
+
+
+@lru_cache(maxsize=None)
+def _ten_power(i: int) -> int:
+    """10**(512 * 2**i), each level the square of the one below, shared by every call."""
+    return 10**_PIECE_DIGITS if i == 0 else _ten_power(i - 1) ** 2
 
 
 def _int_str(n: int) -> str:
     """Decimal text of n, like str(n) but for any number of digits.
 
     Python 3.11 (and 3.10.7 on) refuses str() on ints longer than
-    sys.get_int_max_str_digits(), 4300 digits by default.  Splitting at a power
-    of ten near half the digits keeps every str() call small; the
-    divisions cost about what one unlimited str() would.
+    sys.get_int_max_str_digits(), 4300 digits by default.  n is split at the
+    largest power of ten in a memoized tower of squares 10**(512 * 2**i) that
+    is at most n, and each remainder below 10**(512 * 2**i) is split in
+    halves down the tower into zero-padded pieces of 512 digits, so every
+    str() call is small and no call computes a power of ten that an earlier
+    one already did (Brent and Zimmermann, "Modern Computer Arithmetic",
+    2010, section 1.7).
     """
     if n < 0:
         return "-" + _int_str(-n)
-    if n.bit_length() <= _STR_PIECE_BITS:
+    if n < _ten_power(0):
         return str(n)
-    half = n.bit_length() * 3 // 20  # about half the digits (log10 2 > 3/10)
-    high, low = divmod(n, 10**half)
-    return _int_str(high) + _int_str(low).rjust(half, "0")
+    i = 0
+    # 10**(512 * 2**(i+1)) has at least 2 * bit_length(10**(512 * 2**i)) - 1
+    # bits, so no level is squared to find it above a shorter n
+    while n.bit_length() >= 2 * _ten_power(i).bit_length() - 1 and _ten_power(i + 1) <= n:
+        i += 1
+    high, low = divmod(n, _ten_power(i))
+    return _int_str(high) + _padded_str(low, i)
+
+
+def _padded_str(n: int, i: int) -> str:
+    """n < 10**(512 * 2**i) as exactly 512 * 2**i digits."""
+    if not i:
+        return str(n).rjust(_PIECE_DIGITS, "0")
+    high, low = divmod(n, _ten_power(i - 1))
+    return _padded_str(high, i - 1) + _padded_str(low, i - 1)

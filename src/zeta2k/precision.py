@@ -356,10 +356,31 @@ def zeta_eval(k: int, cfg: PrecisionConfig, c_k: Fraction) -> HighPrecReal:
     # a small buffer past digits+guard so the guard digits are themselves
     # clean; the power loses only ~log10(2k) digits
     prec = _dps_to_prec(cfg.digits + cfg.guard + 10)
-    q_sign, q_man, q_exp, _ = _quotient(c_k.numerator, c_k.denominator, prec)
+    num, den = c_k.numerator, c_k.denominator
+    q_sign, q_man, q_exp, _ = _quotient(num, den, prec)
     p_sign, p_man, p_exp, _ = _mpf_pow_int(pi, 2 * k, prec)
-    value = _normalize(q_sign ^ p_sign, q_man * p_man, q_exp + p_exp, prec)
+    man = _times_quotient(abs(num), den, q_man, q_exp, p_man)
+    value = _normalize(q_sign ^ p_sign, man, q_exp + p_exp, prec)
     return HighPrecReal(digits=cfg.digits, value=value)
+
+
+def _times_quotient(num: int, den: int, q_man: int, q_exp: int, p_man: int) -> int:
+    """q_man * p_man, exactly, where q_man * 2**q_exp is num / den rounded.
+
+    With s = max(0, -q_exp) and t = max(0, q_exp), the rounding error
+    r = num * 2**s - den * q_man * 2**t is at most den * 2**t / 2, so
+
+        q_man * p_man = (num * p_man * 2**s - r * p_man) / (den * 2**t),
+
+    a division that is exact by construction.  For c_k the numerator and
+    denominator are far shorter than the mantissas (at most 241 bits for
+    k <= 30, against 12-17k bits at D = 3500-5200), so every product here is
+    short by long and the division is by a short number: linear in the
+    mantissa's length, where q_man * p_man is a long by long product.
+    """
+    s, t = max(0, -q_exp), max(0, q_exp)
+    r = (num << s) - ((den * q_man) << t)
+    return (((num * p_man) << s) - r * p_man) // den >> t
 
 
 def direct_sum_terms(k: int, cfg: PrecisionConfig) -> int:
@@ -505,8 +526,28 @@ def format_real(x: HighPrecReal) -> str:
         s = _int_str(scaled)
         mant = f"{s[0]}.{s[1:]}" if d else s
         return f"{sign}{mant}e{exp:+03d}"
-    s = _int_str(_round_half_even(num * 10**d, den)).rjust(d + 1, "0")
+    s = _int_str(_scaled_half_even(num, den, d)).rjust(d + 1, "0")
     return f"{sign}{s[:-d]}.{s[-d:]}" if d else f"{sign}{s}"
+
+
+def _scaled_half_even(num: int, den: int, d: int) -> int:
+    """num * 10**d / den rounded half to even.
+
+    A dyadic den = 2**t (every mpf) takes num * 5**d and a half-even shift
+    of t - d bits, since 10**d / 2**t = 5**d / 2**(t - d): a shorter product
+    than num * 10**d, and 5**d is memoized.
+    """
+    if den & (den - 1):
+        return _round_half_even(num * 10**d, den)
+    shift = den.bit_length() - 1 - d
+    scaled = num * _pow5(d)
+    return _shift_half_even(scaled, shift) if shift > 0 else scaled << -shift
+
+
+@lru_cache(maxsize=_PI_PRECISIONS)
+def _pow5(d: int) -> int:
+    # one per digit count, kept for as many digit counts as pi is
+    return 5**d
 
 
 def _exact_parts(value) -> tuple[bool, int, int]:

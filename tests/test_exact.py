@@ -118,3 +118,31 @@ def test_csv_is_byte_identical_to_csv_writer_for_cli_reports(monkeypatch, argv):
     [(header, rows, fmt)] = seen
     assert fmt == "csv" and rows
     assert out.getvalue() == _csv_writer_text(header, rows)
+
+
+def test_int_str_at_the_edges_of_its_tower_of_powers():
+    """Digit counts at, below and above each split 10**(512 * 2**i), and zero pieces."""
+    import sys
+    from decimal import Decimal
+
+    from zeta2k.exact import _int_str
+
+    rng = random.Random(512)
+    values = []
+    for i in range(5):
+        for digits in (512 * 2**i - 1, 512 * 2**i, 512 * 2**i + 1):
+            values.append(rng.randrange(10 ** (digits - 1), 10**digits))
+    for m in (511, 512, 513, 1024, 1536, 2048, 4096, 4300, 4301, 8192, 8193, 16384):
+        # all-zero inner pieces, pieces of nines, and a 1 padded by zeros
+        values += [10**m, 10**m - 1, 10**m + 1, 7 * 10**m + 10 ** (m // 3)]
+    values += [-n for n in values[::3]]
+    for n in values:  # under the limit in force, 4300 digits by default
+        assert _int_str(n) == str(Decimal(n))
+    # every str() call is on at most 512 digits, below the smallest allowed limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in values:
+            assert _int_str(n) == str(Decimal(n))
+    finally:
+        sys.set_int_max_str_digits(limit)

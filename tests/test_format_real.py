@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from zeta2k.precision import HighPrecReal, format_real
+from zeta2k.precision import (
+    HighPrecReal,
+    _exact_parts,
+    _round_half_even,
+    _scaled_half_even,
+    format_real,
+)
 
 def _threshold(d: int) -> Fraction:
     """Values below 1e-4 less half a unit in its (d+25)-th digit print scientific."""
@@ -132,3 +138,23 @@ def test_int_float_and_str_values_are_rounded_exactly():
 def test_non_finite_values_are_refused(bad):
     with pytest.raises(ValueError):
         format_real(HighPrecReal(3, bad))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    man=st.integers(-(2**3000), 2**3000) | st.integers(-300, 300),
+    exp=st.integers(-3000, 200),
+    d=st.integers(0, 1000),
+    tie=st.booleans(),
+)
+@example(man=3, exp=5, d=2, tie=False)  # exp >= 0: an integer
+@example(man=7, exp=-3, d=3, tie=False)  # t = d: exact, no shift
+@example(man=7, exp=-2, d=9, tie=False)  # t < d: a left shift
+@example(man=1, exp=-1, d=0, tie=False)  # 0.5: a tie, to even 0
+@example(man=3, exp=-1, d=0, tie=False)  # 1.5: a tie, to even 2
+def test_scaled_by_five_is_the_ten_power_rule(man, exp, d, tie):
+    """format_real's fixed point: 5**d and a shift of t - d bits, as num * 10**d over 2**t."""
+    if tie:  # odd * 2**-(d+1) is 5**d * odd / 2 at d digits: a half-unit tie
+        man, exp = 2 * man + 1, -(d + 1)
+    _, num, den = _exact_parts(from_man_exp(man, exp))
+    assert _scaled_half_even(num, den, d) == _round_half_even(num * 10**d, den)

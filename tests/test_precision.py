@@ -4,6 +4,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import zeta2k.precision as precision
@@ -19,7 +21,13 @@ from zeta2k.precision import (
     zeta_direct_sum,
     zeta_eval,
 )
-from zeta2k.precision import _enclosure_terms, _pi_scaled, _tail_bracket
+from zeta2k.precision import (
+    _enclosure_terms,
+    _pi_scaled,
+    _quotient,
+    _tail_bracket,
+    _times_quotient,
+)
 from zeta2k.recursive import ZetaCoeffTable
 
 # 50 fractional digits, truncated (digit 51 is a 5, so no carry ambiguity)
@@ -539,3 +547,31 @@ def test_eval_and_direct_sum_threads_at_mixed_precision():
         assert len(got) == 2 * 5 * len(levels)
         for route, d, value in got:
             assert value == (expected if route == "eval" else expected_sum)[d], (route, d)
+
+
+@st.composite
+def _long_ints(draw, max_bits: int) -> int:
+    """A positive int of 1 to max_bits bits, every length about as likely."""
+    bits = draw(st.integers(1, max_bits))
+    return draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.just(0) | _long_ints(30_000),
+    den=_long_ints(30_000),
+    negative=st.booleans(),
+    prec=st.integers(1, 20_000),
+    p_man=_long_ints(20_100),
+)
+@example(num=0, den=1, negative=False, prec=53, p_man=3)  # c_k = 0
+@example(num=1, den=6, negative=True, prec=100, p_man=(1 << 99) + 1)
+@example(num=(1 << 30_000) - 1, den=3, negative=False, prec=10, p_man=7)  # q_exp >= 0
+@example(num=5 << 4000, den=1, negative=True, prec=3, p_man=5)  # exact, q_exp > 0
+@example(num=1, den=(1 << 30_000) - 1, negative=False, prec=20_000, p_man=(1 << 20_000) - 1)
+def test_times_quotient_is_the_long_product(num, den, negative, prec, p_man):
+    """zeta_eval's linear-time product of c_k's mantissa is q_man * p_man exactly."""
+    q = Fraction(-num if negative else num, den)
+    _, q_man, q_exp, _ = _quotient(q.numerator, q.denominator, prec)
+    got = _times_quotient(abs(q.numerator), q.denominator, q_man, q_exp, p_man)
+    assert got == q_man * p_man
