@@ -19,8 +19,8 @@ import tempfile
 from fractions import Fraction
 
 # These three use the standard library only, and not dataclasses.  Every
-# other module loads inside the subcommands that need it: mpmath for
-# fourier, numpy for none, and bench (dataclasses, statistics) for bench.
+# other module loads inside the subcommands that need it, bench (dataclasses,
+# statistics) for bench only; no command loads numpy or mpmath.
 from .bernoulli import _BERNOULLI_HEADER, BernoulliTable, zeta_coeff_via_bernoulli
 from .exact import _num_den_row, _table_text, format_rational
 from .recursive import _COEFF_HEADER, ZetaCoeffTable, consistency_residual
@@ -302,37 +302,26 @@ def _cmd_bernoulli(args) -> tuple[str, int]:
     return _table_text(_BERNOULLI_HEADER, rows, args.format), 0
 
 
-def _poly_value(poly: dict[int, Fraction]):
-    from mpmath import mp
-
-    return mp.fsum(
-        mp.mpf(c.numerator) / c.denominator * mp.pi**power
-        for power, c in sorted(poly.items())
-    )
-
-
 def _cmd_fourier(args) -> tuple[str, int]:
-    from mpmath import mp
-
-    from .fourier import cosine_coeff_closed, cosine_coeff_quadrature, cosine_coeff_recursive
+    from .fourier import (
+        _pi_poly_value,
+        cosine_coeff_closed,
+        cosine_coeff_quadrature,
+        cosine_coeff_recursive,
+    )
+    from .precision import _format_sig17
 
     rows = []
     for k in range(1, args.k + 1):
         closed = cosine_coeff_closed(k)
         for n in range(1, args.n + 1):
-            with mp.workdps(30 + 2 * k):
-                closed_value = _poly_value(closed.substitute(n))
-                recursive_value = _poly_value(
-                    {t.pi_power: t.coeff for t in cosine_coeff_recursive(k, n)}
-                )
-            quadrature_value = cosine_coeff_quadrature(k, n, 1e-12).value
+            recursive = {t.pi_power: t.coeff for t in cosine_coeff_recursive(k, n)}
             for source, value in (
-                ("closed", closed_value),
-                ("recursive", recursive_value),
-                ("quadrature", quadrature_value),
+                ("closed", _pi_poly_value(closed.substitute(n), 30 + 2 * k)),
+                ("recursive", _pi_poly_value(recursive, 30 + 2 * k)),
+                ("quadrature", cosine_coeff_quadrature(k, n, 1e-12)._raw),
             ):
-                value = mp.nstr(value, 17, strip_zeros=False)
-                rows.append({"k": k, "n": n, "source": source, "value": value})
+                rows.append({"k": k, "n": n, "source": source, "value": _format_sig17(value)})
     return _table_text(("k", "n", "source", "value"), rows, "csv"), 0
 
 
@@ -400,6 +389,14 @@ def main(argv=None) -> int:
                 f"and pi (about D^1.9) add, and -k {args.k} -d {args.digits} would "
                 f"take about {_eval_seconds(args.k, args.digits):.1f} s"
             )
+        if args.output:
+            target = os.path.abspath(args.output)
+            if os.path.isdir(target):
+                args.usage_error(f"argument --output: {_shown(args.output)!r} is a directory")
+            if not os.path.isdir(os.path.dirname(target)):
+                args.usage_error(
+                    f"argument --output: {_shown(args.output)!r} is not in an existing directory"
+                )
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

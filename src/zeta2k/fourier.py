@@ -230,6 +230,15 @@ def _legendre_rule(bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(half)
 
 
+def _fixed_pi(bits: int) -> int:
+    """pi * 2**bits within 2, from the package's ``pi_value``."""
+    from .precision import PrecisionConfig, pi_value
+
+    # bits/3 digits, with pi_value's 15 guard digits, are more than bits
+    _, man, exp, _ = pi_value(PrecisionConfig(digits=bits // 3))._raw
+    return (man << bits) >> -exp
+
+
 def _fixed_pow(u: int, e: int, bits: int) -> int:
     """u**e for e >= 1 by square and multiply, each product cut to bits."""
     result = None
@@ -272,12 +281,12 @@ def cosine_coeff_quadrature(
     guard bits, so tol is honored even where the coefficient magnitude
     exceeds float range, and results are the same from run to run.  It
     has no lock and needs none: it shares nothing between calls but the
-    memos of pi and of the node sets, and it never reads or sets mpmath's
-    working precision, so it is safe to call from several threads at
-    once.  pi is the package's ``pi_value``, one Chudnovsky run with a
-    proven error bound, cut to W bits.  The value is a raw mpf at the bit
-    precision of _quad_dps digits, so mpmath loads only when ``.value`` is
-    read.
+    memos of pi and of the node sets, and it uses no mpmath, so it is safe
+    to call from several threads at once.  pi is ``_fixed_pi(W)``: the
+    package's ``pi_value``, one Chudnovsky run with a proven error bound,
+    cut to W bits.  The value is a raw mpf at the bit precision of
+    _quad_dps digits; ``format_real`` prints it without mpmath, which loads
+    only when ``.value`` is read.
 
     Error bound, in units of 2^-W.  At each point t, u = pi - t is off by
     at most 3, so u^(2k), by square and multiply with one cut per product,
@@ -298,16 +307,14 @@ def cosine_coeff_quadrature(
         raise ValueError(f"n must be >= 1, got {n}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    from .precision import HighPrecReal, PrecisionConfig, _dps_to_prec, _normalize, pi_value
+    from .precision import HighPrecReal, _dps_to_prec, _normalize
 
     dps = _quad_dps(k, tol)
     digits = max(1, -math.floor(math.log10(tol)))
     prec = _dps_to_prec(dps)
     bits = _dps_to_prec(dps + 10) + _GUARD_BITS
     rule = _legendre_rule(bits)
-    # bits/3 digits, with pi_value's 15 guard digits, are more than bits
-    _, man, exp, _ = pi_value(PrecisionConfig(digits=bits // 3))._raw
-    pi = (man << bits) >> -exp
+    pi = _fixed_pi(bits)
     two_k = 2 * k
     tol_num, tol_den = float(tol).as_integer_ratio()
 
@@ -342,6 +349,36 @@ def cosine_coeff_quadrature(
             return coefficient(current, doubling)
         best = current
     raise QuadratureError(coefficient(best, doubling), tol, 1 << doubling)
+
+
+_POLY_GUARD_BITS = 64  # bits past the precision the caller names
+
+
+def _pi_poly_value(poly: dict[int, Fraction], dps: int) -> tuple:
+    """sum of c * pi^p over poly's items (p, c), as a raw mpf.
+
+    poly holds every even p from 0 to its largest, and no odd p.  Horner's
+    rule in pi^2 on plain ints in binary fixed point with W fractional
+    bits, _POLY_GUARD_BITS past the bit precision of dps digits, and pi
+    from ``_fixed_pi``.  In units of 2^-W, pi is off by under 2 and pi^2 by
+    under 14; each coefficient's cut and each step's product add under 2,
+    so the sum is off by under 2 * (p_max/2 + 1) * pi^p_max plus
+    7 * p * |c| * pi^(p-2) summed over the terms.  For ``fourier``'s
+    polynomials (p_max <= 78, n <= 200, so c of p_max is 4k/n^2 >= 10^-4)
+    that is under 2^-48 of one unit in the last place of the largest term
+    at dps digits.  The result is exact: v * 2^-W for the int v that the
+    loop ends with.
+    """
+    from .precision import _dps_to_prec, _normalize
+
+    bits = _dps_to_prec(dps) + _POLY_GUARD_BITS
+    pi = _fixed_pi(bits)
+    pi2 = pi * pi >> bits
+    acc = 0
+    for p in range(max(poly), -1, -2):
+        c = poly[p]
+        acc = (acc * pi2 >> bits) + (c.numerator << bits) // c.denominator
+    return _normalize(int(acc < 0), abs(acc), -bits, 0)
 
 
 # ---------------------------------------------------------------------------

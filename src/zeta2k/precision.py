@@ -30,7 +30,9 @@ Two routes to the same number:
 
 Both routes round in binary floating point over plain integers, bit for
 bit as mpmath would, and return mpmath's raw float; mpmath itself is
-imported only when a result's ``value`` is first read.
+imported only when a result's ``value`` is first read, and it is not a
+runtime dependency: the package's commands, ``format_real`` and the raw
+values run without it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, log
 from typing import Any
 
 from .exact import _int_str
@@ -79,7 +81,9 @@ class _LazyMpf:
 
     A raw mpf is mpmath's ``(sign, man, exp, bc)`` tuple.  mpmath is
     imported, and the ``mpmath.mpf`` built and kept, on the first read, so
-    the evaluation routes and ``format_real`` run without it.
+    the evaluation routes and ``format_real`` run without it.  mpmath is in
+    the ``test`` extra, not a runtime dependency: without it, that first
+    read raises ImportError.
     """
 
     def __get__(self, obj, owner=None):
@@ -104,10 +108,12 @@ class HighPrecReal:
     given as an ``mpmath.mpf``, which reads back as itself; as a raw mpf
     tuple, which is how ``zeta_eval``, ``pi_value`` and ``zeta_direct_sum``
     return it and which reads as an mpf built on the first read of
-    ``value`` (the mpmath import waits for it too); or as an int, float or
-    str, which reads back unchanged and which ``format_real`` renders from
-    its exact decimal value (``"0.05"`` at 1 digit prints ``0.0``, where
-    ``mp.mpf("0.05")``, a binary approximation, prints ``0.1``).
+    ``value`` (the mpmath import waits for it too, so that read, and only
+    that read, needs mpmath installed); or as an int, float or str, which
+    reads back unchanged and which ``format_real`` renders from its exact
+    decimal value (``"0.05"`` at 1 digit prints ``0.0``, where
+    ``mp.mpf("0.05")``, a binary approximation, prints ``0.1``).  For a raw
+    mpf, ``value`` is ``mp.make_mpf(raw)``: an mpf with exactly its bits.
     """
 
     digits: int
@@ -504,6 +510,8 @@ def format_real(x: HighPrecReal) -> str:
     found by integer comparison.
     """
     d = x.digits
+    if d < 0:
+        raise ValueError(f"digits must be >= 0, got {d}")
     negative, num, den = _exact_parts(x._raw)
     sign = "-" if negative else ""
     # bit lengths at least 12 apart downwards put |x| above 2^-13 > 1e-4,
@@ -528,6 +536,46 @@ def format_real(x: HighPrecReal) -> str:
         return f"{sign}{mant}e{exp:+03d}"
     s = _int_str(_scaled_half_even(num, den, d)).rjust(d + 1, "0")
     return f"{sign}{s[:-d]}.{s[-d:]}" if d else f"{sign}{s}"
+
+
+# mpmath's to_str(raw, 17) takes 17 + 3 digits at this many working bits
+_SIG17_BITS = int(20 * log(10, 2)) + 10
+
+
+def _format_sig17(raw: tuple) -> str:
+    """A raw mpf to 17 significant digits, as ``mp.nstr(x, 17, strip_zeros=False)``.
+
+    The text is ``mpmath.libmp.to_str(raw, 17, strip_zeros=False)``, byte
+    for byte: 20 digits truncated at _SIG17_BITS working bits, rounded half
+    up on the 18th (a carry may reach a new power of ten), in fixed
+    notation when the decimal exponent e has -5 < e < 17 and as ``...e+NN``
+    or ``...e-NN`` otherwise.  mpmath takes another branch when the leading
+    bit's binary exponent passes 3500 in size; such values raise ValueError.
+    """
+    sign, man, exp, bc = raw
+    if not man:
+        if exp:  # inf and nan carry a zero mantissa
+            raise ValueError(f"cannot format the non-finite value {raw}")
+        return "0.0"
+    if abs(exp + bc) > 3500:
+        raise ValueError(f"the binary exponent {exp + bc} is outside [-3500, 3500]")
+    fix_bits = max(_SIG17_BITS - exp - bc, 0)
+    fix_digits = int(fix_bits / log(10, 2) + 0.5)
+    shift = exp + fix_bits
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = _int_str(fixed * 10**fix_digits >> fix_bits)
+    e = len(digits) - fix_digits - 1
+    kept = int(digits[:17]) + (digits[17:18] >= "5")
+    if kept == 10**17:
+        kept //= 10
+        e += 1
+    s = _int_str(kept)
+    sign = "-" if sign else ""
+    if e <= -5 or e >= 17:
+        return f"{sign}{s[0]}.{s[1:]}e{e:+d}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{s}"
+    return f"{sign}{s[:e + 1]}.{s[e + 1:]}"
 
 
 def _scaled_half_even(num: int, den: int, d: int) -> int:

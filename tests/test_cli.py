@@ -672,6 +672,30 @@ def test_output_to_relative_names_writes_exactly_what_stdout_shows(command, part
         assert os.listdir(folder or ".") == [parts[-1]]
 
 
+@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+@pytest.mark.parametrize("where", ["missing_dir/x.txt", ".", "file.txt/x.txt"])
+def test_output_that_cannot_be_written_is_refused_before_any_work(
+    capsys, monkeypatch, tmp_path, command, where
+):
+    """--output in no directory, or naming a directory, exits 2 with no table built."""
+    from zeta2k import bench, fourier
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started for a refused --output")
+
+    monkeypatch.setattr(cli, "ZetaCoeffTable", refuse)
+    monkeypatch.setattr(cli, "BernoulliTable", refuse)
+    monkeypatch.setattr(fourier, "cosine_coeff_closed", refuse)
+    monkeypatch.setattr(bench, "bench_compare", refuse)
+    (tmp_path / "file.txt").write_text("kept\n")
+    code, out, err = run(capsys, [*_MINIMAL_ARGV[command], "--output", str(tmp_path / where)])
+    assert (code, out) == (2, "")
+    _assert_one_error_line(command, err)
+    assert "argument --output: " in err
+    assert os.listdir(tmp_path) == ["file.txt"]
+    assert (tmp_path / "file.txt").read_text() == "kept\n"
+
+
 def _numbers(low, high):
     return st.integers(min_value=low, max_value=high).map(str)
 

@@ -5,6 +5,7 @@ The reference works on the exact rational value of the mpf and rounds with
 code or arithmetic with format_real's integer rounding.
 """
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_str
 
 from zeta2k.precision import (
     HighPrecReal,
     _exact_parts,
+    _format_sig17,
     _round_half_even,
     _scaled_half_even,
     format_real,
@@ -158,3 +160,57 @@ def test_scaled_by_five_is_the_ten_power_rule(man, exp, d, tie):
         man, exp = 2 * man + 1, -(d + 1)
     _, num, den = _exact_parts(from_man_exp(man, exp))
     assert _scaled_half_even(num, den, d) == _round_half_even(num * 10**d, den)
+
+
+def test_negative_digits_are_refused():
+    with pytest.raises(ValueError, match="digits must be >= 0, got -1"):
+        format_real(HighPrecReal(digits=-1, value="1.5"))
+    assert format_real(HighPrecReal(digits=0, value="2.5")) == "2"
+
+
+@st.composite
+def raw_mpfs(draw):
+    """A signed mantissa of 1-2000 bits whose leading bit's exponent is within 3500."""
+    bits = draw(st.integers(1, 2000))
+    man = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    lead = draw(st.integers(-3500, 3500))
+    return from_man_exp(man if draw(st.booleans()) else -man, lead - bits)
+
+
+@st.composite
+def near_digit_edges(draw):
+    """A binary value within two ulps of 21 chosen digits times 10^(e-20).
+
+    The 17 digits kept and the 4 after them are drawn to sit on or beside
+    a rounding edge of the 18th digit (with all nines, a carry to a new
+    power of ten), and e on or beside the switch from fixed notation.
+    """
+    e = draw(st.sampled_from([-6, -5, -4, 0, 16, 17]) | st.integers(-60, 60))
+    head = draw(st.sampled_from([10**17 - 1, 10**16]) | st.integers(10**16, 10**17 - 1))
+    tail = draw(st.sampled_from([0, 4999, 5000, 5001, 9999]) | st.integers(0, 9999))
+    q = Fraction(head * 10**4 + tail) * Fraction(10) ** (e - 20)
+    shift = draw(st.integers(60, 200)) - (q.numerator.bit_length() - q.denominator.bit_length())
+    man = math.floor(q * Fraction(2) ** shift) + draw(st.integers(-2, 2))
+    return from_man_exp(man if draw(st.booleans()) else -man, -shift)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(raw_mpfs(), near_digit_edges()))
+@example((0, 0, 0, 0))
+@example(mp.mpf("9.99999999999999995e16")._mpf_)  # a carry out of fixed notation
+@example(mp.mpf("-1.2345678901234567e-5")._mpf_)
+@example(mp.mpf("1.2345678901234567e16")._mpf_)  # fixed, with nothing after the point
+@example(from_man_exp(1, 3499))  # exp + bc = 3500
+@example(from_man_exp(3, -3502))  # exp + bc = -3500
+def test_sig17_is_mpmaths_to_str(raw):
+    assert _format_sig17(raw) == to_str(raw, 17, strip_zeros=False)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [from_man_exp(1, 3500), from_man_exp(3, -3503), mp.inf._mpf_, mp.nan._mpf_],
+    ids=["exp+bc=3501", "exp+bc=-3501", "inf", "nan"],
+)
+def test_sig17_refuses_what_it_does_not_port(raw):
+    with pytest.raises(ValueError):
+        _format_sig17(raw)

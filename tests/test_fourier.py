@@ -18,7 +18,8 @@ from zeta2k.fourier import (
     reconstruct,
     reconstruction_residual,
 )
-from zeta2k.fourier import _legendre_rule
+from zeta2k.fourier import _legendre_rule, _pi_poly_value
+from zeta2k.precision import _format_sig17
 
 
 @pytest.mark.parametrize("k,expected", [(0, Fraction(1)), (1, Fraction(1, 3)), (2, Fraction(1, 5))])
@@ -266,6 +267,29 @@ def test_quadrature_ignores_mpmath_working_precision():
     for prec in (20, 2000):
         with mpmath.mp.workprec(prec):
             assert cosine_coeff_quadrature(3, 5, 1e-12).value._mpf_ == expected, prec
+
+
+def test_pi_polynomials_print_as_mpmath_at_the_fourier_precision():
+    """fourier's closed and recursive columns, as mp.nstr printed them at workdps(30 + 2k)."""
+    import mpmath
+
+    mp = mpmath.mp
+    for k in range(1, 41):
+        closed = cosine_coeff_closed(k)
+        for n in (1, 2, 3, 5, 8, 13, 21, 34, 40, 55, 89, 144, 200):
+            poly = closed.substitute(n)
+            with mp.workdps(30 + 2 * k):
+                expected = mp.nstr(
+                    mp.fsum(
+                        mp.mpf(c.numerator) / c.denominator * mp.pi**p
+                        for p, c in sorted(poly.items())
+                    ),
+                    17,
+                    strip_zeros=False,
+                )
+            assert _format_sig17(_pi_poly_value(poly, 30 + 2 * k)) == expected, (k, n)
+            recursive = {t.pi_power: t.coeff for t in cosine_coeff_recursive(k, n)}
+            assert _format_sig17(_pi_poly_value(recursive, 30 + 2 * k)) == expected, (k, n)
 
 
 def test_reconstruct_vanishes_at_pi():

@@ -6,6 +6,7 @@ check runs in a fresh interpreter and reads its ``sys.modules``.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -24,18 +25,23 @@ print(" ".join(sorted({names!r} & {{m.split(".")[0] for m in sys.modules}})))
 """
 
 
-def modules_loaded(code: str, names: set[str]) -> set[str]:
-    """Which of the named top-level modules a fresh interpreter holds after code."""
+def run_child(code: str) -> str:
+    """The stdout of a fresh interpreter that runs code, which must exit 0."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD.format(code=code, names=names)],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def modules_loaded(code: str, names: set[str]) -> set[str]:
+    """Which of the named top-level modules a fresh interpreter holds after code."""
+    return set(run_child(CHILD.format(code=code, names=names)).split())
 
 
 def heavy_modules_loaded(code: str) -> set[str]:
@@ -90,6 +96,77 @@ def test_eval_and_verify_load_no_numpy(argv):
 )
 def test_eval_and_verify_load_no_mpmath(argv):
     assert "mpmath" not in heavy_modules_loaded(after_main(argv))
+
+
+def test_fourier_loads_neither_numpy_nor_mpmath():
+    assert heavy_modules_loaded(after_main(["fourier", "-k", "2", "-n", "2"])) == set()
+
+
+# one run of every command, eval on both sides of the 4300-digit int->str limit
+EVERY_COMMAND = [
+    ["coeff", "-k", "7"],
+    ["coeff", "-k", "7", "--format", "json"],
+    ["table", "--max-k", "6"],
+    ["bernoulli", "--max-index", "8"],
+    ["eval", "-k", "2", "-d", "30"],
+    ["eval", "-k", "2", "-d", "4400"],
+    ["verify", "--max-k", "4"],
+    ["fourier", "-k", "3", "-n", "2"],
+    ["bench", "--k-list", "5", "--reps", "1"],
+    ["coeff", "-k", "0"],
+]
+
+COMMANDS_CHILD = """
+import contextlib, io, json, sys
+if {block!r}:
+    sys.modules["mpmath"] = None  # import mpmath raises ImportError
+from zeta2k.cli import main
+runs = []
+for argv in {argvs!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue()])
+print(json.dumps(["mpmath" in sys.modules and sys.modules["mpmath"] is not None, runs]))
+"""
+
+
+def run_every_command(block_mpmath: bool):
+    """(whether mpmath was loaded, [exit code, stdout] per command) from a fresh interpreter."""
+    return json.loads(run_child(COMMANDS_CHILD.format(block=block_mpmath, argvs=EVERY_COMMAND)))
+
+
+def test_every_command_runs_the_same_without_mpmath():
+    loaded, with_mpmath = run_every_command(block_mpmath=False)
+    assert not loaded
+    loaded, without = run_every_command(block_mpmath=True)
+    assert not loaded
+    # bench's third column is a wall time, which differs from run to run
+    bench = EVERY_COMMAND.index(["bench", "--k-list", "5", "--reps", "1"])
+    for runs in (with_mpmath, without):
+        rows = [line.split(",") for line in runs[bench][1].splitlines()]
+        runs[bench][1] = [row[:2] + row[3:] for row in rows]
+    assert without == with_mpmath
+    assert [code for code, _ in without] == [0] * (len(EVERY_COMMAND) - 1) + [2]
+
+
+def test_results_print_without_mpmath_and_value_needs_it():
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from fractions import Fraction\n"
+        "from zeta2k.precision import PrecisionConfig, format_real, zeta_eval\n"
+        "x = zeta_eval(3, PrecisionConfig(digits=20), Fraction(1, 945))\n"
+        "print(format_real(x))\n"
+        "try:\n"
+        "    x.value\n"
+        "except ImportError:\n"
+        "    print('ImportError')\n"
+    )
+    assert run_child(code).split() == ["1.01734306198444913971", "ImportError"]
 
 
 @pytest.mark.parametrize(
