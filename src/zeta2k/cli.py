@@ -21,9 +21,9 @@ from fractions import Fraction
 # These three use the standard library only, and not dataclasses.  Every
 # other module loads inside the subcommands that need it, bench (dataclasses,
 # statistics) for bench only; no command loads numpy or mpmath.
-from .bernoulli import _BERNOULLI_HEADER, BernoulliTable, zeta_coeff_via_bernoulli
+from .bernoulli import BernoulliTable, zeta_coeff_via_bernoulli
 from .exact import _num_den_row, _table_text, format_rational
-from .recursive import _COEFF_HEADER, ZetaCoeffTable, consistency_residual
+from .recursive import ZetaCoeffTable, consistency_residual
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -37,18 +37,20 @@ class _StderrFailure(Exception):
 
 # Largest table sizes the commands accept, each chosen so that the largest
 # accepted input takes at most about 30 s on a 2-core machine (Python 3.11):
-# the paper kernel grows about K^3.1 (cold coeff -k 1200, 1500, 1800: 5.7,
-# 12, 20 s; three cold runs each of coeff -k 2000: 14.6-18.4 s, and of
+# the paper kernel grows about K^_K_POWER (cold coeff -k 1200, 1500, 1800:
+# 5.7, 12, 20 s; three cold runs each of coeff -k 2000: 14.6-18.4 s, and of
 # table --max-k 2000: 15.8-16.3 s), verify's checks about K^4 (its
 # Bernoulli table of index 2K the largest part) and the Bernoulli
 # recurrence about M^4, so far larger inputs would run for hours.
 _MAX_K = 2000
+_K_POWER = 3.1
 _MAX_VERIFY_K = 1200
 _MAX_BERNOULLI_INDEX = 2500
 _MAX_BENCH_K = _MAX_BERNOULLI_INDEX // 2
-# eval's digits: pi's Chudnovsky run and the power grow about D^1.9 (cold
-# eval -k 10 -d 50000, 100000, 200000, 400000: 0.34, 1.1, 4.0-4.4, 16 s)
+# eval's digits: pi's Chudnovsky run and the power grow about D^_D_POWER
+# (cold eval -k 10 -d 50000, 100000, 200000, 400000: 0.34, 1.1, 4.0-4.4, 16 s)
 _MAX_DIGITS = 400_000
+_D_POWER = 1.9
 # bench's total work: every rep of every k builds the Bernoulli table to
 # index 2k, about (2k)^4, so a run costs about reps * sum((2k)^4); the
 # budget is the largest single k at the default 3 reps, about 110 s
@@ -61,16 +63,21 @@ _MAX_FOURIER_K = 40
 _MAX_FOURIER_N = 40
 # eval's table and pi add (cold eval -k 1000 -d 200000: 10.1 s against 2.4
 # and 7.6 s apart; -k 2000 -d 400000: 52 s), so the pair is held to 30 s of
-# the fitted sum: 26 s at -k 2000 (cold -k 1500: 9.9 s) and 28 s at -d
-# 400000 (cold -d 200000, 300000: 7.6, 17.1 s); fitted while pi took a
+# the fitted sum: _K_SECONDS at -k 2000 (cold -k 1500: 9.9 s) and _D_SECONDS
+# at -d 400000 (cold -d 200000, 300000: 7.6, 17.1 s); fitted while pi took a
 # second run, it now reads high at every corner timed (README)
+_K_SECONDS = 26
+_D_SECONDS = 28
 _EVAL_BUDGET_S = 30
-_EVAL_BUDGET_TEXT = f"26*(K/{_MAX_K})^3.1 + 28*(D/{_MAX_DIGITS})^1.9 <= {_EVAL_BUDGET_S}"
+_EVAL_BUDGET_TEXT = (
+    f"{_K_SECONDS}*(K/{_MAX_K})^{_K_POWER} + {_D_SECONDS}*(D/{_MAX_DIGITS})^{_D_POWER}"
+    f" <= {_EVAL_BUDGET_S}"
+)
 
 
 def _eval_seconds(k: int, digits: int) -> float:
     """About how long a cold eval -k K -d D runs, in seconds."""
-    return 26 * (k / _MAX_K) ** 3.1 + 28 * (digits / _MAX_DIGITS) ** 1.9
+    return _K_SECONDS * (k / _MAX_K) ** _K_POWER + _D_SECONDS * (digits / _MAX_DIGITS) ** _D_POWER
 
 
 # what int() accepts: optional sign, decimal digits, single underscores
@@ -119,7 +126,7 @@ def _int_at_least(low: int, cap: int | None = None, why: str = ""):
 
 _positive_int = _int_at_least(1)
 _table_k = _int_at_least(
-    1, _MAX_K, f"the coefficient table grows about K^3.1 and K={_MAX_K} takes about 30 s"
+    1, _MAX_K, f"the coefficient table grows about K^{_K_POWER} and K={_MAX_K} takes about 30 s"
 )
 _verify_k = _int_at_least(
     1, _MAX_VERIFY_K, f"the checks grow about K^4 and K={_MAX_VERIFY_K} takes about 30 s"
@@ -130,7 +137,7 @@ _bernoulli_index = _int_at_least(
     f"the recurrence grows about M^4 and M={_MAX_BERNOULLI_INDEX} takes about 30 s",
 )
 _eval_digits = _int_at_least(
-    1, _MAX_DIGITS, f"the time grows about D^1.9 and D={_MAX_DIGITS} takes about 30 s"
+    1, _MAX_DIGITS, f"the time grows about D^{_D_POWER} and D={_MAX_DIGITS} takes about 30 s"
 )
 _FOURIER_WHY = (
     "each (k, n) runs a quadrature whose precision and panels grow with both, "
@@ -180,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=_table_k, required=True, metavar="K",
                    help=f"1 <= K <= {_MAX_K}")
     p.add_argument("-d", "--digits", type=_eval_digits, required=True, metavar="D",
-                   help=f"1 <= D <= {_MAX_DIGITS}; the time grows about D^1.9, and "
+                   help=f"1 <= D <= {_MAX_DIGITS}; the time grows about D^{_D_POWER}, and "
                    f"with -k it must satisfy {_EVAL_BUDGET_TEXT} (seconds)")
     p.set_defaults(func=_cmd_eval)
 
@@ -293,13 +300,13 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_table(args) -> tuple[str, int]:
-    rows = ZetaCoeffTable(args.max_k).rows()
-    return _table_text(_COEFF_HEADER, rows, args.format), 0
+    table = ZetaCoeffTable(args.max_k)
+    return table.to_json() if args.format == "json" else table.to_csv(), 0
 
 
 def _cmd_bernoulli(args) -> tuple[str, int]:
-    rows = BernoulliTable(args.max_index).rows()
-    return _table_text(_BERNOULLI_HEADER, rows, args.format), 0
+    table = BernoulliTable(args.max_index)
+    return table.to_json() if args.format == "json" else table.to_csv(), 0
 
 
 def _cmd_fourier(args) -> tuple[str, int]:
@@ -326,16 +333,13 @@ def _cmd_fourier(args) -> tuple[str, int]:
 
 
 def _cmd_bench(args) -> tuple[str, int]:
-    from dataclasses import asdict
-
-    from .bench import _BENCH_HEADER, BackendMismatchError, bench_compare
+    from .bench import BackendMismatchError, bench_compare
 
     try:
         report = bench_compare(args.k_list, args.reps)
     except BackendMismatchError as exc:
         raise _StderrFailure(f"FAIL: {exc}") from exc
-    rows = [asdict(row) for row in report.rows]
-    return _table_text(_BENCH_HEADER, rows, args.format), 0
+    return report.to_json() if args.format == "json" else report.to_csv(), 0
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +389,25 @@ def main(argv=None) -> int:
             )
         if args.command == "eval" and _eval_seconds(args.k, args.digits) > _EVAL_BUDGET_S:
             args.usage_error(
-                f"-k and -d must satisfy {_EVAL_BUDGET_TEXT}: the table (about K^3.1) "
-                f"and pi (about D^1.9) add, and -k {args.k} -d {args.digits} would "
+                f"-k and -d must satisfy {_EVAL_BUDGET_TEXT}: the table (about K^{_K_POWER}) "
+                f"and pi (about D^{_D_POWER}) add, and -k {args.k} -d {args.digits} would "
                 f"take about {_eval_seconds(args.k, args.digits):.1f} s"
             )
         if args.output:
             target = os.path.abspath(args.output)
-            if os.path.isdir(target):
-                args.usage_error(f"argument --output: {_shown(args.output)!r} is a directory")
-            if not os.path.isdir(os.path.dirname(target)):
-                args.usage_error(
-                    f"argument --output: {_shown(args.output)!r} is not in an existing directory"
-                )
+            shown = _shown(args.output)
+            try:
+                if stat.S_ISDIR(os.stat(target).st_mode):
+                    args.usage_error(f"argument --output: {shown!r} is a directory")
+            except (FileNotFoundError, NotADirectoryError):
+                pass  # a new file, if its folder below is usable
+            except OSError as exc:  # a name too long, a folder that cannot be searched
+                args.usage_error(f"argument --output: {shown!r}: {exc.strerror}")
+            folder = os.path.dirname(target)
+            if not os.path.isdir(folder):
+                args.usage_error(f"argument --output: {shown!r} is not in an existing directory")
+            if not os.access(folder, os.W_OK):
+                args.usage_error(f"argument --output: {shown!r} is not in a writable directory")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -507,7 +507,9 @@ def format_real(x: HighPrecReal) -> str:
     higher working precision prints as 0.0001.  The value is rounded
     once, exactly, half to even: an mpf is the rational man*2^exp, so the
     printed digits are an integer quotient and the scientific exponent is
-    found by integer comparison.
+    found by integer comparison.  Both notations scale through
+    _scaled_half_even: by 5^m and one half-even shift when the denominator
+    is a power of two, by the divmod rule otherwise.
     """
     d = x.digits
     if d < 0:
@@ -527,7 +529,7 @@ def format_real(x: HighPrecReal) -> str:
             exp -= 1
         while num * 10 ** (-exp - 1) >= den:
             exp += 1
-        scaled = _round_half_even(num * 10 ** (d - exp), den)
+        scaled = _scaled_half_even(num, den, d - exp)
         if scaled == 10 ** (d + 1):  # rounding pushed the mantissa to 10
             exp += 1
             scaled //= 10
@@ -579,14 +581,16 @@ def _format_sig17(raw: tuple) -> str:
 
 
 def _scaled_half_even(num: int, den: int, d: int) -> int:
-    """num * 10**d / den rounded half to even.
+    """num * 10**d / den rounded half to even, for d >= 0.
 
     A dyadic den = 2**t (every mpf) takes num * 5**d and a half-even shift
     of t - d bits, since 10**d / 2**t = 5**d / 2**(t - d): a shorter product
-    than num * 10**d, and 5**d is memoized.
+    than num * 10**d, and 5**d is memoized.  Any other den (an int, float
+    or str value) takes the divmod rule.
     """
     if den & (den - 1):
-        return _round_half_even(num * 10**d, den)
+        q, r = divmod(num * 10**d, den)
+        return q + bool(2 * r > den or (2 * r == den and q & 1))
     shift = den.bit_length() - 1 - d
     scaled = num * _pow5(d)
     return _shift_half_even(scaled, shift) if shift > 0 else scaled << -shift
@@ -611,11 +615,3 @@ def _exact_parts(value) -> tuple[bool, int, int]:
         return bool(sign), man << exp, 1
     return bool(sign), man, 1 << -exp
 
-
-def _round_half_even(num: int, den: int) -> int:
-    if den & (den - 1):
-        q, r = divmod(num, den)
-        return q + bool(2 * r > den or (2 * r == den and q & 1))
-    # den = 2^shift, the mpf case: shifts and a mask, no long division
-    shift = den.bit_length() - 1
-    return _shift_half_even(num, shift) if shift else num

@@ -672,12 +672,8 @@ def test_output_to_relative_names_writes_exactly_what_stdout_shows(command, part
         assert os.listdir(folder or ".") == [parts[-1]]
 
 
-@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
-@pytest.mark.parametrize("where", ["missing_dir/x.txt", ".", "file.txt/x.txt"])
-def test_output_that_cannot_be_written_is_refused_before_any_work(
-    capsys, monkeypatch, tmp_path, command, where
-):
-    """--output in no directory, or naming a directory, exits 2 with no table built."""
+def _refuse_work(monkeypatch):
+    """Make every command's first step fail, so a refusal must come before it."""
     from zeta2k import bench, fourier
 
     def refuse(*args, **kwargs):
@@ -687,6 +683,17 @@ def test_output_that_cannot_be_written_is_refused_before_any_work(
     monkeypatch.setattr(cli, "BernoulliTable", refuse)
     monkeypatch.setattr(fourier, "cosine_coeff_closed", refuse)
     monkeypatch.setattr(bench, "bench_compare", refuse)
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+@pytest.mark.parametrize(
+    "where", ["missing_dir/x.txt", ".", "file.txt/x.txt", pytest.param("a" * 300, id="a*300")]
+)
+def test_output_that_cannot_be_written_is_refused_before_any_work(
+    capsys, monkeypatch, tmp_path, command, where
+):
+    """--output in no directory, naming a directory or too long exits 2 before any work."""
+    _refuse_work(monkeypatch)
     (tmp_path / "file.txt").write_text("kept\n")
     code, out, err = run(capsys, [*_MINIMAL_ARGV[command], "--output", str(tmp_path / where)])
     assert (code, out) == (2, "")
@@ -694,6 +701,28 @@ def test_output_that_cannot_be_written_is_refused_before_any_work(
     assert "argument --output: " in err
     assert os.listdir(tmp_path) == ["file.txt"]
     assert (tmp_path / "file.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+def test_output_in_a_directory_that_cannot_be_written_is_refused_before_any_work(
+    capsys, monkeypatch, tmp_path, command
+):
+    """os.access is patched to deny writing to tmp_path: root may write to any
+    directory, so a run as root could not show a real unwritable one."""
+    _refuse_work(monkeypatch)
+    access = os.access
+
+    def denied(path, mode, **kwargs):
+        if os.path.samefile(path, tmp_path) and mode & os.W_OK:
+            return False
+        return access(path, mode, **kwargs)
+
+    monkeypatch.setattr(os, "access", denied)
+    code, out, err = run(capsys, [*_MINIMAL_ARGV[command], "--output", str(tmp_path / "x.txt")])
+    assert (code, out) == (2, "")
+    _assert_one_error_line(command, err)
+    assert "argument --output: " in err and "is not in a writable directory" in err
+    assert os.listdir(tmp_path) == []
 
 
 def _numbers(low, high):

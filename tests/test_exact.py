@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import zeta2k.bench as bench
 import zeta2k.cli as cli
 from zeta2k.bench import _BENCH_HEADER, BenchReport, BenchRow
 from zeta2k.bernoulli import BernoulliTable
@@ -112,6 +113,7 @@ def test_csv_is_byte_identical_to_csv_writer_for_cli_reports(monkeypatch, argv):
         return _table_text(header, rows, fmt)
 
     monkeypatch.setattr(cli, "_table_text", recording)
+    monkeypatch.setattr(bench, "_table_text", recording)  # bench's report renders itself
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0

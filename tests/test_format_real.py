@@ -19,7 +19,6 @@ from zeta2k.precision import (
     HighPrecReal,
     _exact_parts,
     _format_sig17,
-    _round_half_even,
     _scaled_half_even,
     format_real,
 )
@@ -134,6 +133,10 @@ def test_int_float_and_str_values_are_rounded_exactly():
     assert format_real(HighPrecReal(2, "0.125")) == "0.12"  # a tie, to even
     assert format_real(HighPrecReal(3, "0.0015")) == "0.002"  # a tie, to even
     assert format_real(HighPrecReal(2, "-0.0000333333")) == "-3.33e-05"
+    # ties in scientific notation, to even
+    assert format_real(HighPrecReal(0, "0.000015")) == "2e-05"
+    assert format_real(HighPrecReal(0, "0.000025")) == "2e-05"
+    assert format_real(HighPrecReal(1, "0.0000125")) == "1.2e-05"
 
 
 @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan])
@@ -159,7 +162,8 @@ def test_scaled_by_five_is_the_ten_power_rule(man, exp, d, tie):
     if tie:  # odd * 2**-(d+1) is 5**d * odd / 2 at d digits: a half-unit tie
         man, exp = 2 * man + 1, -(d + 1)
     _, num, den = _exact_parts(from_man_exp(man, exp))
-    assert _scaled_half_even(num, den, d) == _round_half_even(num * 10**d, den)
+    q, r = divmod(num * 10**d, den)
+    assert _scaled_half_even(num, den, d) == q + bool(2 * r > den or (2 * r == den and q & 1))
 
 
 def test_negative_digits_are_refused():

@@ -85,11 +85,13 @@ def test_quotient_is_from_int_then_mpf_div(num, den, prec):
 @example(2, 10, True)  # 5/2: a tie, to even: down
 @example((1 << 10) - 1, 10, False)  # just under 1: up to 1
 def test_round_half_even_by_power_of_two_is_the_divmod_rule(num, shift, tie):
+    """_shift_half_even, the package's one half-even cut, divides as divmod rounds."""
     if tie:  # num + 1/2, so the parity of num decides
         num = (2 * num + 1) << (shift - 1)
     den = 1 << shift
     q, r = divmod(num, den)
-    assert precision._round_half_even(num, den) == q + bool(2 * r > den or (2 * r == den and q & 1))
+    expected = q + bool(2 * r > den or (2 * r == den and q & 1))
+    assert precision._shift_half_even(num, shift) == expected
 
 
 def _pow_branch(bc: int, n: int) -> str:
