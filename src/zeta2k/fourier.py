@@ -78,7 +78,10 @@ class CosineCoeff:
         """Map pi_power -> rational coefficient with n plugged in."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return {t.pi_power: t.coeff / n**t.inv_n_power for t in self.terms}
+        return {
+            t.pi_power: Fraction(t.coeff.numerator, t.coeff.denominator * n**t.inv_n_power)
+            for t in self.terms
+        }
 
 
 @dataclass(frozen=True)
@@ -133,24 +136,30 @@ def cosine_coeff_recursive(k: int, n: int) -> tuple[PiTerm, ...]:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # nums[i] / n^(2m) is the coefficient of pi^(2i) after step m: b_m
-    # multiplies every numerator by -(2m)(2m-1), and the new lead 4m/n^2 is
-    # 4m * n^(2m-2) over the common denominator
+    # step m adds the lead 4m/n^2 * pi^(2m-2), and every later step m' > m
+    # multiplies it by b_m'; so the coefficient of pi^(2m-2) is 4m over
+    # n^(2(k-m+1)) times the running product of -(2m')(2m'-1) for m' from
+    # m+1 to k, which the loop from m = k down extends by one factor a step
     n2 = n * n
-    nums = [4]
+    tail = 1
     den = n2
-    for m in range(2, k + 1):
-        factor = -(2 * m) * (2 * m - 1)
-        nums = [num * factor for num in nums]
-        nums.append(4 * m * den)
+    terms = []
+    for m in range(k, 0, -1):
+        terms.append(PiTerm(2 * m - 2, Fraction(4 * m * tail, den)))
+        tail *= -(2 * m) * (2 * m - 1)
         den *= n2
-    return tuple(
-        PiTerm(2 * i, Fraction(nums[i], den)) for i in reversed(range(k))
-    )
+    return tuple(terms)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def b_factor(m: int, n: int) -> Fraction:
-    """b_m = -(2m)(2m-1)/n^2, the damping factor of the recursion."""
+    """b_m = -(2m)(2m-1)/n^2, the damping factor of the recursion.
+
+    Memoized for the 1024 most recent (m, n): the b-product checks ask for
+    each b_m again for every longer product that contains it.  A Fraction
+    is immutable, so callers share it safely; a refused (m, n) is not kept
+    and raises on every call.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if n < 1:
@@ -386,11 +395,66 @@ def _pi_poly_value(poly: dict[int, Fraction], dps: int) -> tuple:
 # already guarantees identities, this layer only watches convergence)
 
 
+def _extraction_sum(series, scratch) -> float:
+    """The sum of a float64 array, correctly rounded: what ``math.fsum`` returns.
+
+    series is overwritten, and scratch, an array of the same length, is
+    used as work space; nothing else is allocated.  The method is Rump,
+    Ogita and Oishi's error-free extraction (SIAM J. Sci. Comput. 31(1),
+    2008).  With n values, all below 2^e in magnitude, and
+    sigma = 2^(e + ceil(log2(n + 2))) >= (n + 2) * max|x|, each
+    q = (sigma + x) - sigma is exact, and so is r = x - q; every q is a
+    multiple of 2^-53 * sigma and their sum is below sigma in magnitude, so
+    numpy sums the q exactly, in any order.  That leaves
+    sum(x) = sum(q) + sum(r) with each |r| <= 2^-53 * sigma.  numpy's sum of
+    the r is within 2 * (n-1) * 2^-53 * n * 2^-53 * sigma of the exact one,
+    whatever order it adds in.  The candidate is the float nearest to
+    sum(q) plus that sum; it is returned when the whole interval that bound
+    allows lies strictly between the candidate's midpoints to its two
+    neighbours, checked in exact rationals.  Otherwise the r are extracted
+    again, at a sigma set by their own maximum.  Every r is zero after
+    finitely many rounds, and then the exact sum is rounded once.  So the
+    result is the exactly rounded sum, half to even, which is what
+    ``math.fsum`` returns, +0.0 for an exact zero included.  Values that are
+    not finite, or a sigma that would overflow, go to ``math.fsum`` itself,
+    which returns or raises as it does.
+    """
+    n = len(series)
+    if n == 0:
+        return 0.0
+    grow = (n + 1).bit_length()  # ceil(log2(n + 2))
+    top = max(series.max(), -series.min())
+    if not top < math.inf or math.frexp(top)[1] + grow > 1023:
+        # a memoryview yields plain floats, which fsum reads faster than
+        # numpy scalars, and builds no list
+        return math.fsum(memoryview(series))
+    import numpy as np
+
+    bound_scale = Fraction(2 * (n - 1) * n, 2**106)
+    total = Fraction(0)
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + grow)
+        q = np.add(series, sigma, out=scratch)
+        q -= sigma
+        series -= q
+        total += Fraction(float(q.sum()))
+        near = total + Fraction(float(series.sum()))
+        bound = bound_scale * Fraction(sigma)
+        candidate = float(near)
+        below = (Fraction(candidate) + Fraction(math.nextafter(candidate, -math.inf))) / 2
+        above = (Fraction(candidate) + Fraction(math.nextafter(candidate, math.inf))) / 2
+        if below < near - bound and near + bound < above:
+            return candidate
+        top = max(series.max(), -series.min())
+    return float(total)
+
+
 def reconstruct(k: int, x: float, n_terms: int) -> float:
     """Partial sum mean + sum_{n=1}^{n_terms} A(n,2k) cos(nx) at float width.
 
-    Term values come from the closed form; the final reduction is
-    compensated so the only real error left is the series tail.
+    Term values come from the closed form.  Their sum is exact, rounded
+    once (see ``_extraction_sum``), so it equals ``math.fsum`` of the terms
+    and the only real error left is the series tail.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -411,10 +475,7 @@ def reconstruct(k: int, x: float, n_terms: int) -> float:
         np.multiply(n, x, out=scratch)
         series *= np.cos(scratch, out=scratch)
     mean = math.pi ** (2 * k) / (2 * k + 1)
-    # a memoryview yields plain floats, which fsum reads faster than numpy
-    # scalars, and builds no list; fsum rounds exactly once, so the sum is
-    # the same
-    return mean + math.fsum(memoryview(series))
+    return mean + _extraction_sum(series, scratch)
 
 
 def reconstruction_residual(k: int, n_terms: int) -> float:

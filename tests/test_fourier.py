@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeta2k.fourier import (
     QuadratureError,
@@ -18,7 +20,7 @@ from zeta2k.fourier import (
     reconstruct,
     reconstruction_residual,
 )
-from zeta2k.fourier import _legendre_rule, _pi_poly_value
+from zeta2k.fourier import _extraction_sum, _legendre_rule, _pi_poly_value
 from zeta2k.precision import _format_sig17
 
 
@@ -92,8 +94,9 @@ def _recursive_over_fractions(k, n):
 
 
 def test_recursive_equals_the_fraction_recursion():
-    for k in range(1, 21):
-        for n in range(1, 13):
+    # up to fourier's caps, k <= 40 and n <= 40
+    for k in range(1, 41):
+        for n in range(1, 41):
             terms = [(t.pi_power, t.coeff) for t in cosine_coeff_recursive(k, n)]
             assert terms == _recursive_over_fractions(k, n), (k, n)
             assert all(type(coeff) is Fraction for _, coeff in terms)
@@ -106,9 +109,18 @@ def test_input_validation():
         lambda: cosine_coeff_recursive(1, 0),
         lambda: b_factor(0, 1),
         lambda: b_factor(2, 0),
-    ):
+        lambda: b_factor(-3, 2),
+        lambda: b_factor(1, -1),
+    ) * 2:  # b_factor is memoized, but a refusal raises on every call
         with pytest.raises(ValueError):
             bad_call()
+
+
+def test_b_factor_repeats_return_equal_fractions():
+    for _ in range(2):
+        for m in range(1, 41):
+            for n in range(1, 41):
+                assert b_factor(m, n) == Fraction(-(2 * m) * (2 * m - 1), n * n), (m, n)
 
 
 @pytest.mark.parametrize(
@@ -360,3 +372,77 @@ def test_reconstruct_in_place_is_bit_identical_to_the_old_expression(k):
     for x in (0.0, 0.5, math.pi):
         for n_terms in (1, 2, 7, 1000, 20_000, 60_000):
             assert reconstruct(k, x, n_terms) == _reconstruct_over_numpy_scalars(k, x, n_terms)
+
+
+def _outcome(total, values):
+    """What total(values) gives: ("value", the float's bits) or ("raises", the exception)."""
+    try:
+        value = total(values)
+    except (ValueError, OverflowError) as exc:
+        return "raises", type(exc), str(exc)
+    # nan compares unequal to itself, and -0.0 equal to 0.0, so compare bits
+    return "value", math.nan if math.isnan(value) else value.hex()
+
+
+def _extracted(values):
+    import numpy as np
+
+    series = np.array(values, dtype=np.float64)
+    return _extraction_sum(series, np.empty_like(series))
+
+
+@st.composite
+def _float_arrays(draw):
+    """0-5,000 finite floats, most of them of random sign and of exponents up to +-1000.
+
+    The shapes make the exact sum hard to round: pairs x, -x that cancel
+    exactly (to 0, or to a value that ends exactly halfway between two
+    floats), subnormals, and a few values drawn by Hypothesis itself.
+    """
+    import numpy as np
+
+    size = draw(st.integers(0, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([0, 4, 60, 300, 1000]))
+    shape = draw(st.sampled_from(["plain", "zero", "tie", "subnormal"]))
+    values = rng.standard_normal(size) * np.exp2(rng.integers(-span, span + 1, size))
+    if shape == "subnormal":
+        values = rng.integers(-(2**53), 2**53, size) * 2.0**-1074
+    if shape in ("zero", "tie"):
+        half = values[: size // 2]
+        values = np.concatenate([half, -half])
+    extra = draw(st.lists(
+        st.floats(min_value=-(2.0**1000), max_value=2.0**1000, allow_subnormal=True),
+        max_size=8,
+    ))
+    if shape == "tie":
+        # base + (ulp of base)/2 lies halfway between base and its neighbour
+        base = draw(st.floats(min_value=2.0**-1000, max_value=2.0**1000))
+        extra = [base, draw(st.sampled_from([-0.5, 0.5])) * math.ulp(base)]
+    if shape == "zero":
+        extra = []
+    values = np.concatenate([values, extra])
+    rng.shuffle(values)
+    return values.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_float_arrays())
+def test_extraction_sum_equals_fsum_on_finite_arrays(values):
+    assert _outcome(_extracted, values) == _outcome(math.fsum, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bulk=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50),
+    special=st.lists(
+        st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 2.0**1023]),
+        min_size=1,
+        max_size=4,
+    ),
+    where=st.randoms(use_true_random=False),
+)
+def test_extraction_sum_is_fsum_on_inf_nan_and_overflow(bulk, special, where):
+    values = bulk + special
+    where.shuffle(values)
+    assert _outcome(_extracted, values) == _outcome(math.fsum, values)

@@ -5,6 +5,7 @@ statistics are imported only by the code that uses them, so each import
 check runs in a fresh interpreter and reads its ``sys.modules``.
 """
 
+import functools
 import importlib
 import json
 import os
@@ -118,8 +119,8 @@ EVERY_COMMAND = [
 
 COMMANDS_CHILD = """
 import contextlib, io, json, sys
-if {block!r}:
-    sys.modules["mpmath"] = None  # import mpmath raises ImportError
+for name in {blocked!r}:
+    sys.modules[name] = None  # import name raises ImportError
 from zeta2k.cli import main
 runs = []
 for argv in {argvs!r}:
@@ -130,27 +131,55 @@ for argv in {argvs!r}:
         except SystemExit as exc:
             code = exc.code
     runs.append([code, out.getvalue()])
-print(json.dumps(["mpmath" in sys.modules and sys.modules["mpmath"] is not None, runs]))
+print(json.dumps([sorted(n for n in ("mpmath", "numpy") if sys.modules.get(n) is not None), runs]))
 """
 
 
-def run_every_command(block_mpmath: bool):
-    """(whether mpmath was loaded, [exit code, stdout] per command) from a fresh interpreter."""
-    return json.loads(run_child(COMMANDS_CHILD.format(block=block_mpmath, argvs=EVERY_COMMAND)))
+@functools.lru_cache(maxsize=None)
+def run_every_command(blocked: tuple[str, ...]):
+    """(which of mpmath and numpy were loaded, [exit code, stdout] per command).
+
+    From a fresh interpreter in which the blocked modules cannot be
+    imported.  bench's third column is a wall time, which differs from run
+    to run, so it is left out.
+    """
+    loaded, runs = json.loads(
+        run_child(COMMANDS_CHILD.format(blocked=blocked, argvs=EVERY_COMMAND))
+    )
+    bench = EVERY_COMMAND.index(["bench", "--k-list", "5", "--reps", "1"])
+    rows = [line.split(",") for line in runs[bench][1].splitlines()]
+    runs[bench][1] = [row[:2] + row[3:] for row in rows]
+    return loaded, runs
 
 
 def test_every_command_runs_the_same_without_mpmath():
-    loaded, with_mpmath = run_every_command(block_mpmath=False)
-    assert not loaded
-    loaded, without = run_every_command(block_mpmath=True)
-    assert not loaded
-    # bench's third column is a wall time, which differs from run to run
-    bench = EVERY_COMMAND.index(["bench", "--k-list", "5", "--reps", "1"])
-    for runs in (with_mpmath, without):
-        rows = [line.split(",") for line in runs[bench][1].splitlines()]
-        runs[bench][1] = [row[:2] + row[3:] for row in rows]
+    loaded, with_mpmath = run_every_command(())
+    assert loaded == []
+    loaded, without = run_every_command(("mpmath",))
+    assert loaded == []
     assert without == with_mpmath
     assert [code for code, _ in without] == [0] * (len(EVERY_COMMAND) - 1) + [2]
+
+
+def test_every_command_runs_the_same_without_numpy():
+    _, with_numpy = run_every_command(())
+    loaded, without = run_every_command(("numpy",))
+    assert loaded == []
+    assert without == with_numpy
+
+
+def test_reconstruct_needs_numpy():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from zeta2k.fourier import reconstruct, reconstruction_residual\n"
+        "for call in (lambda: reconstruct(1, 0.0, 10), lambda: reconstruction_residual(1, 10)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ImportError:\n"
+        "        print('ImportError')\n"
+    )
+    assert run_child(code).split() == ["ImportError", "ImportError"]
 
 
 def test_results_print_without_mpmath_and_value_needs_it():
