@@ -38,8 +38,8 @@ class _StderrFailure(Exception):
 # Largest table sizes the commands accept, each chosen so that the largest
 # accepted input takes at most about 30 s on a 2-core machine (Python 3.11):
 # the paper kernel grows about K^_K_POWER (cold coeff -k 1200, 1500, 1800:
-# 5.7, 12, 20 s; three cold runs each of coeff -k 2000: 14.6-18.4 s, and of
-# table --max-k 2000: 15.8-16.3 s), verify's checks about K^4 (its
+# 5.7, 12, 20 s; three cold runs each of coeff -k 2000: 10.5-11.0 s, and of
+# table --max-k 2000: 11.9-12.3 s), verify's checks about K^4 (its
 # Bernoulli table of index 2K the largest part) and the Bernoulli
 # recurrence about M^4, so far larger inputs would run for hours.
 _MAX_K = 2000

@@ -20,12 +20,13 @@ the zeta values handled elsewhere in the package.
 
 Products of consecutive b factors collapse to the closed form
 
-    prod_{i=0}^{j} b_{k-i} = (-1)^(j+1) * 2^(j+1) / n^(2j+2)
-                             * [k(k-1)...(k-j)]
-                             * [(2k-1)(2k-3)...(2k-2j-1)]
+    prod_{i=0}^{j} b_{k-i} = (-1)^(j+1) * (2k)(2k-1)...(2k-2j-1) / n^(2j+2)
+                           = (-1)^(j+1) * perm(2k, 2j+2) / n^(2j+2),
 
-with j+1 factors in each bracket; `b_product_closed` implements it and
-the test suite checks it against the literal product.
+a falling factorial of 2j+2 factors; `b_product_closed` implements it and
+the test suite checks it against the literal product.  The coefficients
+of the closed form of A(n, 2k) are falling factorials too:
+2*(2k)!/(2k-2j-1)! = 2*perm(2k, 2j+1).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 from typing import TYPE_CHECKING
 
 from .exact import _int_str
@@ -114,12 +115,11 @@ def mean_coeff(k: int) -> Fraction:
 def cosine_coeff_closed(k: int) -> CosineCoeff:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    f2k = factorial(2 * k)
     terms = tuple(
         CosineTerm(
             pi_power=2 * k - 2 - 2 * j,
             inv_n_power=2 + 2 * j,
-            coeff=Fraction(2 * f2k * (-1) ** j, factorial(2 * k - 2 * j - 1)),
+            coeff=Fraction((-1) ** j * 2 * perm(2 * k, 2 * j + 1)),
         )
         for j in range(k)
     )
@@ -175,13 +175,7 @@ def b_product_closed(k: int, j: int, n: int) -> Fraction:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= j <= k - 1:
         raise ValueError(f"j must satisfy 0 <= j <= k-1, got j={j}, k={k}")
-    falling = 1
-    odd = 1
-    for i in range(j + 1):
-        falling *= k - i
-        odd *= 2 * (k - i) - 1
-    sign = -1 if j % 2 == 0 else 1
-    return Fraction(sign * 2 ** (j + 1) * falling * odd, n ** (2 * (j + 1)))
+    return Fraction((-1) ** (j + 1) * perm(2 * k, 2 * j + 2), n ** (2 * j + 2))
 
 
 # ---------------------------------------------------------------------------

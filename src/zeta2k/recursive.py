@@ -9,15 +9,31 @@ whose m = k term is (-1)^(k-1) * c_k, so each c_k follows from the ones
 before it.  The empty sum at k = 1 gives c_1 = 1/3! = 1/6, i.e.
 zeta(2) = pi^2/6.
 
-The table runs this recursion on integers.  With K the largest k wanted,
-L = lcm(1, ..., 2K+1) and Lambda = 2 * (the odd part of L * (2K)!), every
-P_m = Lambda * c_m is an integer.  (2m)! * c_m = 2^(2m-1) * |B_2m|, and by
-von Staudt-Clausen the denominator of B_2m is a product of distinct primes
-p <= 2m+1, with 2 among them.  So L * (2m)! * c_m is an integer, which puts
-the odd part of c_m's denominator in L * (2K)!.  And B_2m has exactly one
-2 in its denominator and an odd numerator, so with v2((2m)!) = 2m - s2(m)
-(Legendre; s2 is the binary digit sum), v2(c_m) = (2m-1) - 1 - (2m - s2(m))
-= s2(m) - 2 >= -1: no c_m has more than one 2 in its denominator.
+The table runs this recursion on integers, over one scale Lambda computed
+from K, the largest k wanted:
+
+    Lambda = 2 * odd((2K)!) * prod p,  over the odd primes p <= 2K+1
+                                       with 2K mod (p-1) <= 2K mod p,
+
+where odd(n) is n with its factors 2 removed.  Every P_m = Lambda * c_m
+is an integer.  (2m)! * c_m = 2^(2m-1) * |B_2m|, and by von
+Staudt-Clausen the denominator of B_2m is exactly the product of the
+primes p with (p-1) | 2m, 2 among them.  So the odd part of c_m's
+denominator divides odd((2m)!) * prod_{p odd, (p-1) | 2m} p.  Over
+m <= K, the exponent of an odd prime p in these bounds is at most
+v_p((2K)!) + 1, and it is that when some m <= K with (p-1) | 2m has
+v_p((2m)!) = v_p((2K)!).  v_p(n!) is constant for n from p*floor(2K/p)
+to 2K and smaller below, so that holds when the largest multiple of p-1
+not above 2K, which is 2K - 2K mod (p-1), is at least
+2K - 2K mod p: the mod test.  (p-1 <= 2K, so that multiple is 2m for
+some m >= 1; a prime p > 2K+1 divides none of the bounds.)  Lambda's odd part is thus
+the lcm of the bounds, so it is a multiple of the odd part of every c_m's
+denominator, and it divides odd(lcm(1..2K+1) * (2K)!): 1795 against
+2170 bits at K = 150, and 17,165 against 19,928 at K = 1000.  And B_2m
+has exactly one 2 in its denominator and an odd numerator, so with
+v2((2m)!) = 2m - s2(m) (Legendre; s2 is the binary digit sum),
+v2(c_m) = (2m-1) - 1 - (2m - s2(m)) = s2(m) - 2 >= -1: no c_m has more
+than one 2 in its denominator, and Lambda keeps one.
 Multiplying the identity by Lambda * (2k+1)! gives
 
     k * Lambda  =  sum_{m=1}^{k} (-1)^(m-1) * P_m * g_m,
@@ -45,7 +61,7 @@ direct sum for zeta(2k) (:mod:`zeta2k.precision`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 from operator import is_
 
 from .exact import _num_den_row, _table_text
@@ -67,8 +83,7 @@ class ZetaCoeffTable:
     def __init__(self, max_k: int):
         if max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {max_k}")
-        scale = lcm(*range(1, 2 * max_k + 2)) * factorial(2 * max_k)
-        scale >>= (scale & -scale).bit_length() - 2  # Lambda: one factor 2 kept
+        scale = _scale(max_k)
         scaled = []  # P_m = Lambda * c_m
         coeffs = []
         fact = 1  # (2k+1)!, advanced at the top of each step
@@ -116,6 +131,22 @@ class ZetaCoeffTable:
 
     def to_csv(self) -> str:
         return _table_text(_COEFF_HEADER, self.rows(), "csv")
+
+
+def _scale(max_k: int) -> int:
+    """Lambda = 2 * odd((2K)!) * prod p over the odd primes p <= 2K+1 with
+    2K mod (p-1) <= 2K mod p, for K = max_k (see the module docstring)."""
+    n = 2 * max_k
+    fact = factorial(n)
+    scale = fact >> ((fact & -fact).bit_length() - 2)  # one factor 2 kept
+    sieve = bytearray([1]) * (n + 2)  # sieve[p] for odd p <= n+1: p is prime
+    for p in range(3, isqrt(n + 1) + 1, 2):
+        if sieve[p]:
+            sieve[p * p :: 2 * p] = bytes(len(range(p * p, n + 2, 2 * p)))
+    for p in range(3, n + 2, 2):
+        if sieve[p] and n % (p - 1) <= n % p:
+            scale *= p
+    return scale
 
 
 def consistency_residual(table: ZetaCoeffTable, k: int) -> Fraction:

@@ -1,11 +1,12 @@
 import json
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeta2k.recursive import ZetaCoeffTable, consistency_residual
+from zeta2k.recursive import ZetaCoeffTable, _scale, consistency_residual
 
 KNOWN = {
     1: Fraction(1, 6),
@@ -23,8 +24,6 @@ def test_known_coefficients(k, expected):
 
 
 def test_k6_equals_691_times_2p11_over_15_factorial():
-    from math import factorial
-
     assert ZetaCoeffTable(6).coeff(6) == Fraction(691 * 2**11, factorial(15))
 
 
@@ -88,10 +87,34 @@ def test_csv_layout():
     assert text == "k,num,den\n1,1,6\n2,1,90\n"
 
 
+def _odd_part(n):
+    return n >> (n & -n).bit_length() - 1
+
+
+def test_scale_is_a_common_multiple_under_5_bits_past_the_least():
+    # the lcm Q of the stored denominators is the least scale that makes
+    # every P_m an integer; Lambda is a multiple of it, and barely longer
+    # (Lambda = Q at 250 of these sizes; the largest quotient is 25, at K = 125,
+    # where by Adams' theorem 5^3 divides the numerator of B_250)
+    for size in range(1, 260):
+        scale = _scale(size)
+        least = lcm(*(c.denominator for c in ZetaCoeffTable(size).coeffs))
+        assert scale % least == 0, size
+        assert scale < least << 5, size
+
+
+def test_scale_divides_the_lcm_times_factorial_scale():
+    # 2 * odd(lcm(1..2K+1) * (2K)!), a common multiple by von Staudt-Clausen
+    # alone, without the mod test on each prime
+    for size in range(1, 260):
+        wide = 2 * _odd_part(lcm(*range(1, 2 * size + 2)) * factorial(2 * size))
+        assert wide % _scale(size) == 0, size
+
+
 def _assert_each_size_is_a_prefix(sizes):
     # tables are built once, so a table "grows" by building the next size
-    # afresh; each solves over its own Lambda, 2 * the odd part of
-    # lcm(1..2K+1) * (2K)!, so equal prefixes show that no c_k depends on Lambda
+    # afresh; each solves over its own Lambda, computed from K (see _scale),
+    # so equal prefixes show that no c_k depends on Lambda
     largest = ZetaCoeffTable(max(sizes)).coeffs
     for size in sizes:
         assert ZetaCoeffTable(size).coeffs == largest[:size]
@@ -102,7 +125,7 @@ def test_growing_one_entry_at_a_time_matches_fresh_table():
 
 
 def test_growing_in_uneven_steps_matches_fresh_table():
-    # L = lcm(1..2K+1), and with it Lambda's odd part, differs at each of these sizes
+    # Lambda differs at each of these sizes
     _assert_each_size_is_a_prefix((5, 17, 64, 150, 200))
 
 
@@ -116,7 +139,8 @@ def test_growing_from_odd_and_even_sizes_matches_fresh_table():
     st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=5),
 )
 def test_growing_in_random_steps_matches_fresh_table(size, steps):
-    # Lambda differs at arbitrary sizes, odd and even
+    # Lambda differs between most pairs of sizes, odd and even (not all:
+    # K = 6 and 7 share one)
     _assert_each_size_is_a_prefix((size, *steps))
 
 
@@ -210,8 +234,6 @@ def test_residual_equals_the_fraction_sum_on_a_correct_table():
     "m,delta", [(1, Fraction(1, 7)), (2, Fraction(-3, 10**12)), (21, Fraction(1, 10**6)), (60, Fraction(5))]
 )
 def test_residual_equals_the_fraction_sum_on_a_perturbed_table(m, delta):
-    from math import factorial
-
     table = ZetaCoeffTable(60)
     table._coeffs[m - 1] += delta
     for k in range(1, 61):
