@@ -3,10 +3,10 @@
 
 Both routes run on integers and reduce once per entry: the paper
 recursion with one exact division, the Bernoulli recurrence over one
-running common denominator.  The run recorded in the README measured
-the recursion about 1.1x to 2x faster over the default sweep.  The 10x
-to 17x reported before measured a Bernoulli route that added Fractions
-and paid a gcd on every term.
+running common denominator.  The README's "Benchmark honesty" section
+gives the measured ratio over the default sweep.  The 10x to 17x
+reported before measured a Bernoulli route that added Fractions and paid
+a gcd on every term.
 The harness refuses to report timings unless both backends produced
 identical rationals at every k.
 """

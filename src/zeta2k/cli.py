@@ -1,9 +1,9 @@
 """Command-line surface: zeta2k {coeff,eval,verify,table,bernoulli,fourier,bench}.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Flags are
-validated before any computation starts; output goes to stdout unless
---output PATH is given, in which case the file is written atomically
-(temp file in the target directory, then rename).
+validated before any computation starts; output goes to stdout, or to
+--output PATH: a file is replaced atomically (temp file beside it, then
+rename; a symlink stays), and a FIFO or a device is written through.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 # other module loads inside the subcommands that need it, bench (dataclasses,
 # statistics) for bench only; no command loads numpy or mpmath.
 from .bernoulli import BernoulliTable, zeta_coeff_via_bernoulli
-from .exact import _num_den_row, _table_text, format_rational
+from .exact import _num_den_row, format_rational
 from .recursive import ZetaCoeffTable, consistency_residual
 
 __all__ = ["main", "entrypoint", "build_parser"]
@@ -35,20 +35,18 @@ class _StderrFailure(Exception):
     """A subcommand failed: main prints the message to stderr and exits 1."""
 
 
-# Largest table sizes the commands accept, each chosen so that the largest
-# accepted input takes at most about 30 s on a 2-core machine (Python 3.11):
-# the paper kernel grows about K^_K_POWER (cold coeff -k 1200, 1500, 1800:
-# 5.7, 12, 20 s; three cold runs each of coeff -k 2000: 10.5-11.0 s, and of
-# table --max-k 2000: 11.9-12.3 s), verify's checks about K^4 (its
-# Bernoulli table of index 2K the largest part) and the Bernoulli
-# recurrence about M^4, so far larger inputs would run for hours.
+# Largest inputs the commands accept, each chosen so that the largest
+# accepted input takes at most about 30 s on a 2-core machine; the README
+# tabulates the cold times measured at each cap.  The paper kernel grows
+# about K^_K_POWER, verify's checks about K^4 (its Bernoulli table of index
+# 2K the largest part) and the Bernoulli recurrence about M^4, so far
+# larger inputs would run for hours.
 _MAX_K = 2000
 _K_POWER = 3.1
 _MAX_VERIFY_K = 1200
 _MAX_BERNOULLI_INDEX = 2500
 _MAX_BENCH_K = _MAX_BERNOULLI_INDEX // 2
 # eval's digits: pi's Chudnovsky run and the power grow about D^_D_POWER
-# (cold eval -k 10 -d 50000, 100000, 200000, 400000: 0.34, 1.1, 4.0-4.4, 16 s)
 _MAX_DIGITS = 400_000
 _D_POWER = 1.9
 # bench's total work: every rep of every k builds the Bernoulli table to
@@ -56,15 +54,12 @@ _D_POWER = 1.9
 # budget is the largest single k at the default 3 reps, about 110 s
 _BENCH_BUDGET = 3 * (2 * _MAX_BENCH_K) ** 4
 # fourier runs one quadrature per (k, n), and its precision and panels grow
-# with both (cold -k 40, 45, 50 -n 20: 8.3-10.5, 13.4, 22.3 s; -k 40 -n 30,
-# 40, 50: 17.0, 20.6-27.9, 37.4 s; -k 45 -n 30: 23.5-31.1 s), so each flag
-# is capped at the corner -k 40 -n 40
+# with both; past the corner -k 40 -n 40 it runs over 30 s (README), so each
+# flag is capped there
 _MAX_FOURIER_K = 40
 _MAX_FOURIER_N = 40
-# eval's table and pi add (cold eval -k 1000 -d 200000: 10.1 s against 2.4
-# and 7.6 s apart; -k 2000 -d 400000: 52 s), so the pair is held to 30 s of
-# the fitted sum: _K_SECONDS at -k 2000 (cold -k 1500: 9.9 s) and _D_SECONDS
-# at -d 400000 (cold -d 200000, 300000: 7.6, 17.1 s); fitted while pi took a
+# eval's table and pi add, so the pair is held to 30 s of the fitted sum:
+# _K_SECONDS at -k 2000 and _D_SECONDS at -d 400000; fitted while pi took a
 # second run, it now reads high at every corner timed (README)
 _K_SECONDS = 26
 _D_SECONDS = 28
@@ -80,7 +75,7 @@ def _eval_seconds(k: int, digits: int) -> float:
     return _K_SECONDS * (k / _MAX_K) ** _K_POWER + _D_SECONDS * (digits / _MAX_DIGITS) ** _D_POWER
 
 
-# what int() accepts: optional sign, decimal digits, single underscores
+# optional sign, decimal digits of any script joined by single underscores, whitespace around
 _INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
@@ -96,21 +91,18 @@ def _int_at_least(low: int, cap: int | None = None, why: str = ""):
     """argparse type: an integer >= low, and <= cap when one is given."""
 
     def parse(text: str) -> int:
-        try:
-            value = shown = int(text)
-        except ValueError:
-            if _INT_TEXT.fullmatch(text) is None:
-                raise argparse.ArgumentTypeError(f"{_shown(text)!r} is not an integer") from None
-            # int() refuses more than sys.get_int_max_str_digits() digits
-            # (4300 by default), leading zeros included; without them the
-            # value is either small again or beyond every bound here
-            body = text.strip()
-            digits = body.lstrip("+-").replace("_", "").lstrip("0") or "0"
-            sign = -1 if body.startswith("-") else 1
-            if len(digits) <= sys.get_int_max_str_digits():
-                value = shown = sign * int(digits)
-            else:
-                value, shown = sign * math.inf, _shown(text)
+        if _INT_TEXT.fullmatch(text) is None:
+            raise argparse.ArgumentTypeError(f"{_shown(text)!r} is not an integer")
+        # int() refuses more than sys.get_int_max_str_digits() digits
+        # (4300 by default), leading zeros included; without them the
+        # value is either small again or beyond every bound here
+        body = text.strip()
+        digits = body.lstrip("+-").replace("_", "").lstrip("0") or "0"
+        sign = -1 if body.startswith("-") else 1
+        if len(digits) <= sys.get_int_max_str_digits():
+            value = shown = sign * int(digits)
+        else:
+            value, shown = sign * math.inf, _shown(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {shown}")
         if cap is not None and value > cap:
@@ -124,7 +116,6 @@ def _int_at_least(low: int, cap: int | None = None, why: str = ""):
     return parse
 
 
-_positive_int = _int_at_least(1)
 _table_k = _int_at_least(
     1, _MAX_K, f"the coefficient table grows about K^{_K_POWER} and K={_MAX_K} takes about 30 s"
 )
@@ -232,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated k values, each <= {_MAX_BENCH_K} "
         f"(default {','.join(map(str, _DEFAULT_SWEEP))})",
     )
-    p.add_argument("--reps", type=_positive_int, default=3, metavar="R",
+    p.add_argument("--reps", type=_int_at_least(1), default=3, metavar="R",
                    help=f"repetitions per k (default 3); R times the sum of (2k)^4 "
                    f"must be <= 3*{2 * _MAX_BENCH_K}^4")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -310,26 +301,9 @@ def _cmd_bernoulli(args) -> tuple[str, int]:
 
 
 def _cmd_fourier(args) -> tuple[str, int]:
-    from .fourier import (
-        _pi_poly_value,
-        cosine_coeff_closed,
-        cosine_coeff_quadrature,
-        cosine_coeff_recursive,
-    )
-    from .precision import _format_sig17
+    from .fourier import _fourier_csv
 
-    rows = []
-    for k in range(1, args.k + 1):
-        closed = cosine_coeff_closed(k)
-        for n in range(1, args.n + 1):
-            recursive = {t.pi_power: t.coeff for t in cosine_coeff_recursive(k, n)}
-            for source, value in (
-                ("closed", _pi_poly_value(closed.substitute(n), 30 + 2 * k)),
-                ("recursive", _pi_poly_value(recursive, 30 + 2 * k)),
-                ("quadrature", cosine_coeff_quadrature(k, n, 1e-12)._raw),
-            ):
-                rows.append({"k": k, "n": n, "source": source, "value": _format_sig17(value)})
-    return _table_text(("k", "n", "source", "value"), rows, "csv"), 0
+    return _fourier_csv(args.k, args.n), 0
 
 
 def _cmd_bench(args) -> tuple[str, int]:
@@ -346,7 +320,7 @@ def _cmd_bench(args) -> tuple[str, int]:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    target = os.path.abspath(path)
+    target = os.path.realpath(path)  # a link stays, and the file it names is replaced
     # mkstemp creates the file 0600; give it the mode open(path, "w") would
     try:
         mode = stat.S_IMODE(os.stat(target).st_mode)
@@ -357,7 +331,7 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".zeta2k-")
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
         os.chmod(tmp, mode)
         os.replace(tmp, target)
     except BaseException:
@@ -370,6 +344,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    in_place = False  # --output names a FIFO or a device: written through, not replaced
     try:
         args = parser.parse_args(argv)
         # "--" is never a value; argparse before 3.13 drops it from
@@ -394,20 +369,23 @@ def main(argv=None) -> int:
                 f"take about {_eval_seconds(args.k, args.digits):.1f} s"
             )
         if args.output:
-            target = os.path.abspath(args.output)
             shown = _shown(args.output)
             try:
-                if stat.S_ISDIR(os.stat(target).st_mode):
-                    args.usage_error(f"argument --output: {shown!r} is a directory")
+                mode = os.stat(args.output).st_mode
             except (FileNotFoundError, NotADirectoryError):
-                pass  # a new file, if its folder below is usable
+                mode = stat.S_IFREG  # a new file, if its folder below is usable
             except OSError as exc:  # a name too long, a folder that cannot be searched
                 args.usage_error(f"argument --output: {shown!r}: {exc.strerror}")
-            folder = os.path.dirname(target)
+            if stat.S_ISDIR(mode) or stat.S_ISSOCK(mode):  # neither can be opened to write
+                kind = "directory" if stat.S_ISDIR(mode) else "socket"
+                args.usage_error(f"argument --output: {shown!r} is a {kind}")
+            in_place = not stat.S_ISREG(mode)
+            folder = os.path.dirname(os.path.realpath(args.output))
             if not os.path.isdir(folder):
                 args.usage_error(f"argument --output: {shown!r} is not in an existing directory")
-            if not os.access(folder, os.W_OK):
-                args.usage_error(f"argument --output: {shown!r} is not in a writable directory")
+            if not os.access(args.output if in_place else folder, os.W_OK):
+                where = "writable" if in_place else "in a writable directory"
+                args.usage_error(f"argument --output: {shown!r} is not {where}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -415,10 +393,15 @@ def main(argv=None) -> int:
     except _StderrFailure as exc:
         print(exc, file=sys.stderr)
         return 1
-    if args.output:
-        _write_atomic(args.output, text)
+    if not text.endswith("\n"):
+        text += "\n"
+    if not args.output:
+        sys.stdout.write(text)
+    elif in_place:
+        with open(args.output, "w", encoding="ascii", newline="") as handle:
+            handle.write(text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        _write_atomic(args.output, text)
     return code
 
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import factorial, perm
 from typing import TYPE_CHECKING
 
-from .exact import _int_str
+from .exact import _int_str, _table_text
 
 if TYPE_CHECKING:
     from .precision import HighPrecReal
@@ -308,8 +308,8 @@ def cosine_coeff_quadrature(
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     from .precision import HighPrecReal, _dps_to_prec, _normalize
 
     dps = _quad_dps(k, tol)
@@ -382,6 +382,62 @@ def _pi_poly_value(poly: dict[int, Fraction], dps: int) -> tuple:
         c = poly[p]
         acc = (acc * pi2 >> bits) + (c.numerator << bits) // c.denominator
     return _normalize(int(acc < 0), abs(acc), -bits, 0)
+
+
+# mpmath's to_str(raw, 17) takes 17 + 3 digits at this many working bits
+_SIG17_BITS = int(20 * math.log(10, 2)) + 10
+
+
+def _format_sig17(raw: tuple) -> str:
+    """A raw mpf to 17 significant digits, as ``mp.nstr(x, 17, strip_zeros=False)``.
+
+    The text is ``mpmath.libmp.to_str(raw, 17, strip_zeros=False)``, byte
+    for byte: 20 digits truncated at _SIG17_BITS working bits, rounded half
+    up on the 18th (a carry may reach a new power of ten), in fixed
+    notation when the decimal exponent e has -5 < e < 17 and as ``...e+NN``
+    or ``...e-NN`` otherwise.  mpmath takes another branch when the leading
+    bit's binary exponent passes 3500 in size; such values raise ValueError.
+    """
+    sign, man, exp, bc = raw
+    if not man:
+        if exp:  # inf and nan carry a zero mantissa
+            raise ValueError(f"cannot format the non-finite value {raw}")
+        return "0.0"
+    if abs(exp + bc) > 3500:
+        raise ValueError(f"the binary exponent {exp + bc} is outside [-3500, 3500]")
+    fix_bits = max(_SIG17_BITS - exp - bc, 0)
+    fix_digits = int(fix_bits / math.log(10, 2) + 0.5)
+    shift = exp + fix_bits
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = _int_str(fixed * 10**fix_digits >> fix_bits)
+    e = len(digits) - fix_digits - 1
+    kept = int(digits[:17]) + (digits[17:18] >= "5")
+    if kept == 10**17:
+        kept //= 10
+        e += 1
+    s = _int_str(kept)
+    sign = "-" if sign else ""
+    if e <= -5 or e >= 17:
+        return f"{sign}{s[0]}.{s[1:]}e{e:+d}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{s}"
+    return f"{sign}{s[:e + 1]}.{s[e + 1:]}"
+
+
+def _fourier_csv(max_k: int, max_n: int) -> str:
+    """``zeta2k fourier``'s CSV: A(n, 2k) three ways, 1 <= k <= max_k, 1 <= n <= max_n."""
+    rows = []
+    for k in range(1, max_k + 1):
+        closed = cosine_coeff_closed(k)
+        for n in range(1, max_n + 1):
+            recursive = {t.pi_power: t.coeff for t in cosine_coeff_recursive(k, n)}
+            for source, value in (
+                ("closed", _pi_poly_value(closed.substitute(n), 30 + 2 * k)),
+                ("recursive", _pi_poly_value(recursive, 30 + 2 * k)),
+                ("quadrature", cosine_coeff_quadrature(k, n, 1e-12)._raw),
+            ):
+                rows.append({"k": k, "n": n, "source": source, "value": _format_sig17(value)})
+    return _table_text(("k", "n", "source", "value"), rows, "csv")
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, log
+from math import isqrt
 from typing import Any
 
 from .exact import _int_str
@@ -538,46 +538,6 @@ def format_real(x: HighPrecReal) -> str:
         return f"{sign}{mant}e{exp:+03d}"
     s = _int_str(_scaled_half_even(num, den, d)).rjust(d + 1, "0")
     return f"{sign}{s[:-d]}.{s[-d:]}" if d else f"{sign}{s}"
-
-
-# mpmath's to_str(raw, 17) takes 17 + 3 digits at this many working bits
-_SIG17_BITS = int(20 * log(10, 2)) + 10
-
-
-def _format_sig17(raw: tuple) -> str:
-    """A raw mpf to 17 significant digits, as ``mp.nstr(x, 17, strip_zeros=False)``.
-
-    The text is ``mpmath.libmp.to_str(raw, 17, strip_zeros=False)``, byte
-    for byte: 20 digits truncated at _SIG17_BITS working bits, rounded half
-    up on the 18th (a carry may reach a new power of ten), in fixed
-    notation when the decimal exponent e has -5 < e < 17 and as ``...e+NN``
-    or ``...e-NN`` otherwise.  mpmath takes another branch when the leading
-    bit's binary exponent passes 3500 in size; such values raise ValueError.
-    """
-    sign, man, exp, bc = raw
-    if not man:
-        if exp:  # inf and nan carry a zero mantissa
-            raise ValueError(f"cannot format the non-finite value {raw}")
-        return "0.0"
-    if abs(exp + bc) > 3500:
-        raise ValueError(f"the binary exponent {exp + bc} is outside [-3500, 3500]")
-    fix_bits = max(_SIG17_BITS - exp - bc, 0)
-    fix_digits = int(fix_bits / log(10, 2) + 0.5)
-    shift = exp + fix_bits
-    fixed = man << shift if shift >= 0 else man >> -shift
-    digits = _int_str(fixed * 10**fix_digits >> fix_bits)
-    e = len(digits) - fix_digits - 1
-    kept = int(digits[:17]) + (digits[17:18] >= "5")
-    if kept == 10**17:
-        kept //= 10
-        e += 1
-    s = _int_str(kept)
-    sign = "-" if sign else ""
-    if e <= -5 or e >= 17:
-        return f"{sign}{s[0]}.{s[1:]}e{e:+d}"
-    if e < 0:
-        return f"{sign}0.{'0' * (-e - 1)}{s}"
-    return f"{sign}{s[:e + 1]}.{s[e + 1:]}"
 
 
 def _scaled_half_even(num: int, den: int, d: int) -> int:

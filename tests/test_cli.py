@@ -3,6 +3,8 @@ import errno
 import io
 import json
 import os
+import socket
+import stat
 import tempfile
 from fractions import Fraction
 from unittest import mock
@@ -260,6 +262,65 @@ def test_output_plain_value_gets_newline(capsys, tmp_path):
     assert target.read_text() == "1/90\n"
 
 
+def test_output_to_a_fifo_writes_through_it(capsys, tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # a reader opened without blocking, so the write finds it there
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, ["coeff", "-k", "3", "--output", str(fifo)]) == (0, "", "")
+        assert os.read(reader, 64) == b"1/945\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_output_to_a_symlink_replaces_the_file_it_names(capsys, tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link = tmp_path / "link"
+    link.symlink_to(real)
+    assert run(capsys, ["coeff", "-k", "3", "--output", str(link)]) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == "1/945\n"
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link", "real.txt"]
+
+
+def test_output_to_a_fifo_that_cannot_be_written_is_refused_before_any_work(
+    capsys, monkeypatch, tmp_path
+):
+    """os.access is patched to deny writing to the FIFO, as it would for a
+    user without write permission; root may write to any FIFO."""
+    _refuse_work(monkeypatch)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    access = os.access
+
+    def denied(path, mode, **kwargs):
+        if str(path) == str(fifo) and mode & os.W_OK:
+            return False
+        return access(path, mode, **kwargs)
+
+    monkeypatch.setattr(os, "access", denied)
+    code, out, err = run(capsys, ["coeff", "-k", "3", "--output", str(fifo)])
+    assert (code, out) == (2, "")
+    assert "argument --output: " in err and "is not writable" in err
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_output_naming_a_socket_is_refused_before_any_work(capsys, monkeypatch, tmp_path):
+    _refuse_work(monkeypatch)
+    path = tmp_path / "out.sock"
+    with socket.socket(socket.AF_UNIX) as server:
+        server.bind(str(path))
+        code, out, err = run(capsys, ["coeff", "-k", "3", "--output", str(path)])
+    assert (code, out) == (2, "")
+    assert "argument --output: " in err and "is a socket" in err
+    assert stat.S_ISSOCK(os.stat(path).st_mode)
+
+
 class _FailingWrite:
     """What os.fdopen returns when the disk fills: every write raises."""
 
@@ -467,6 +528,31 @@ def test_zero_padding_past_the_int_to_str_limit_keeps_the_value():
     parser = cli.build_parser()
     assert parser.parse_args(["coeff", "-k", _LONG + "7"]).k == 7
     assert parser.parse_args(["bernoulli", "--max-index", "-" + _LONG]).max_index == 0
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("\u0663", 3),  # ARABIC-INDIC DIGIT THREE
+        ("\uff15", 5),  # FULLWIDTH DIGIT FIVE
+        ("\x1c5", 5),  # int() refuses the separator, which str.isspace() accepts
+        ("\u00a07\u2003", 7),  # between a no-break space and an em space
+        ("+0_0_7", 7),
+        (_LONG + "7", 7),
+        ("5\x00", None),
+    ],
+    ids=["arabic_indic", "fullwidth", "file_separator", "unicode_spaces", "underscores",
+         "zero_padded", "nul"],
+)
+def test_integer_texts_accepted_today_keep_their_values(capsys, text, value):
+    parser = cli.build_parser()
+    if value is not None:
+        assert parser.parse_args(["coeff", "-k", text]).k == value
+        return
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["coeff", "-k", text])
+    assert exc.value.code == 2
+    assert "is not an integer" in capsys.readouterr().err
 
 
 def test_eval_over_its_joint_budget_is_refused_before_any_work(capsys, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 import zeta2k.bench as bench
 import zeta2k.cli as cli
+import zeta2k.fourier as fourier
 from zeta2k.bench import _BENCH_HEADER, BenchReport, BenchRow
 from zeta2k.bernoulli import BernoulliTable
 from zeta2k.exact import _table_text, format_rational
@@ -112,7 +113,7 @@ def test_csv_is_byte_identical_to_csv_writer_for_cli_reports(monkeypatch, argv):
         seen.append((header, rows, fmt))
         return _table_text(header, rows, fmt)
 
-    monkeypatch.setattr(cli, "_table_text", recording)
+    monkeypatch.setattr(fourier, "_table_text", recording)
     monkeypatch.setattr(bench, "_table_text", recording)  # bench's report renders itself
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

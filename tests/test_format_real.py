@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp, to_str
 
+from zeta2k.fourier import _format_sig17
 from zeta2k.precision import (
     HighPrecReal,
     _exact_parts,
-    _format_sig17,
     _scaled_half_even,
     format_real,
 )

@@ -20,8 +20,7 @@ from zeta2k.fourier import (
     reconstruct,
     reconstruction_residual,
 )
-from zeta2k.fourier import _extraction_sum, _legendre_rule, _pi_poly_value
-from zeta2k.precision import _format_sig17
+from zeta2k.fourier import _extraction_sum, _format_sig17, _legendre_rule, _pi_poly_value
 
 
 @pytest.mark.parametrize("k,expected", [(0, Fraction(1)), (1, Fraction(1, 3)), (2, Fraction(1, 5))])
@@ -111,6 +110,12 @@ def test_input_validation():
         lambda: b_factor(2, 0),
         lambda: b_factor(-3, 2),
         lambda: b_factor(1, -1),
+        lambda: cosine_coeff_quadrature(1, 1, 0),
+        lambda: cosine_coeff_quadrature(1, 1, -1e-12),
+        lambda: cosine_coeff_quadrature(1, 1, math.nan),
+        lambda: cosine_coeff_quadrature(1, 1, math.inf),
+        lambda: cosine_coeff_quadrature(0, 1, 1e-12),
+        lambda: cosine_coeff_quadrature(1, 0, 1e-12),
     ) * 2:  # b_factor is memoized, but a refusal raises on every call
         with pytest.raises(ValueError):
             bad_call()
