@@ -68,12 +68,21 @@ class PrecisionConfig:
     max_sum_terms: int = 10**8
 
     def __post_init__(self):
+        for name in ("digits", "guard", "max_sum_terms"):
+            _require_int(name, getattr(self, name))
         if self.digits < 1:
             raise ValueError(f"digits must be >= 1, got {self.digits}")
         if self.guard < 15:
             raise ValueError(f"guard must be >= 15, got {self.guard}")
         if self.max_sum_terms < 1:
             raise ValueError("max_sum_terms must be >= 1")
+
+
+def _require_int(name: str, value) -> None:
+    # a float passes the range checks, then fails deep in the bit arithmetic
+    # or, in feasible_digits, gives a wrong count
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class _LazyMpf:
@@ -356,6 +365,7 @@ def zeta_eval(k: int, cfg: PrecisionConfig, c_k: Fraction) -> HighPrecReal:
 
     c_k must be the verified coefficient for this k; it is trusted here.
     """
+    _require_int("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     pi = pi_value(cfg)._raw
@@ -396,6 +406,7 @@ def direct_sum_terms(k: int, cfg: PrecisionConfig) -> int:
     Exact integer arithmetic throughout: the float seed is only a starting
     point and the answer is adjusted against the bound itself.
     """
+    _require_int("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     e = 2 * k - 1
@@ -421,6 +432,8 @@ def _floor_nth_root(x: int, e: int) -> int:
 
 def feasible_digits(k: int, max_sum_terms: int) -> int:
     """Largest D the truncation bound can reach within the term budget."""
+    _require_int("k", k)
+    _require_int("max_sum_terms", max_sum_terms)
     if k < 1 or max_sum_terms < 1:
         raise ValueError("k and max_sum_terms must be >= 1")
     m = (2 * k - 1) * max_sum_terms ** (2 * k - 1)
@@ -475,6 +488,7 @@ def zeta_direct_sum(k: int, cfg: PrecisionConfig) -> HighPrecReal:
     10^-(digits+guard+2) that M leaves for them.  Raises
     InfeasiblePrecisionError when M is over cfg.max_sum_terms.
     """
+    _require_int("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     m = _enclosure_terms(k, cfg)
@@ -512,6 +526,7 @@ def format_real(x: HighPrecReal) -> str:
     is a power of two, by the divmod rule otherwise.
     """
     d = x.digits
+    _require_int("digits", d)
     if d < 0:
         raise ValueError(f"digits must be >= 0, got {d}")
     negative, num, den = _exact_parts(x._raw)

@@ -169,6 +169,8 @@ def test_scaled_by_five_is_the_ten_power_rule(man, exp, d, tie):
 def test_negative_digits_are_refused():
     with pytest.raises(ValueError, match="digits must be >= 0, got -1"):
         format_real(HighPrecReal(digits=-1, value="1.5"))
+    with pytest.raises(TypeError, match="digits must be an int, got float"):
+        format_real(HighPrecReal(digits=2.5, value="1.5"))
     assert format_real(HighPrecReal(digits=0, value="2.5")) == "2"
 
 

@@ -63,6 +63,12 @@ def test_config_validation():
         PrecisionConfig(digits=5, guard=10)
     with pytest.raises(ValueError):
         PrecisionConfig(digits=5, max_sum_terms=0)
+    with pytest.raises(TypeError, match="digits must be an int, got float"):
+        PrecisionConfig(digits=2.5)
+    with pytest.raises(TypeError, match="guard must be an int, got float"):
+        PrecisionConfig(digits=5, guard=15.5)
+    with pytest.raises(TypeError, match="max_sum_terms must be an int, got float"):
+        PrecisionConfig(digits=5, max_sum_terms=1e8)
 
 
 @pytest.mark.parametrize(
@@ -102,6 +108,13 @@ def test_feasible_digits_boundary():
         d = feasible_digits(k, 10**8)
         assert direct_sum_terms(k, PrecisionConfig(digits=d)) <= 10**8
         assert direct_sum_terms(k, PrecisionConfig(digits=d + 1)) > 10**8
+    # a float budget read 2 here, not 22; a float k failed inside the root
+    with pytest.raises(TypeError, match="max_sum_terms must be an int, got float"):
+        feasible_digits(2, 1e8)
+    with pytest.raises(TypeError, match="k must be an int, got float"):
+        feasible_digits(2.0, 10**8)
+    with pytest.raises(TypeError, match="k must be an int, got float"):
+        direct_sum_terms(2.0, PrecisionConfig(digits=10))
 
 
 def test_direct_sum_k2_d10():
@@ -233,12 +246,16 @@ def test_zeta_eval_digit_strings(k, digits, expected):
 def test_zeta_eval_rejects_k_zero():
     with pytest.raises(ValueError):
         zeta_eval(0, PrecisionConfig(digits=5), Fraction(1, 6))
+    with pytest.raises(TypeError, match="k must be an int, got float"):
+        zeta_eval(2.0, PrecisionConfig(digits=5), Fraction(1, 90))
 
 
 def test_direct_sum_rejects_k_zero():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
             zeta_direct_sum(k, PrecisionConfig(digits=5))
+    with pytest.raises(TypeError, match="k must be an int, got float"):
+        zeta_direct_sum(2.0, PrecisionConfig(digits=5))
 
 
 def test_oracle_agreement_30_digits():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zeta2k import recursive
 from zeta2k.recursive import ZetaCoeffTable, _scale, consistency_residual
 
 KNOWN = {
@@ -111,10 +112,32 @@ def test_scale_divides_the_lcm_times_factorial_scale():
         assert wide % _scale(size) == 0, size
 
 
+def test_scale_of_a_smaller_size_divides_the_scale():
+    # the kernel's ladder carries P_m from Lambda(k) to Lambda(K) by their
+    # exact quotient, so Lambda(k) must divide Lambda(K) for every k < K
+    scales = [_scale(size) for size in range(1, 260)]
+    for big, scale in enumerate(scales, start=1):
+        for small in range(1, big):
+            assert scale % scales[small - 1] == 0, (small, big)
+
+
+def test_kernel_refuses_a_scale_that_is_not_a_common_multiple(monkeypatch):
+    # the two exact checks of the ladder: a scale that cannot carry the last
+    # block's P_m, and one too short to make every P_k an integer
+    real = recursive._scale
+    # 101 is prime and over 2 * 40 + 1, so it divides no Lambda(40)
+    monkeypatch.setattr(recursive, "_scale", lambda end: real(end) * (101 if end == 32 else 1))
+    with pytest.raises(ArithmeticError, match=r"Lambda\(40\) is not a multiple"):
+        ZetaCoeffTable(40)
+    monkeypatch.setattr(recursive, "_scale", lambda end: real(end) // 3)
+    with pytest.raises(ArithmeticError, match=r"P_\d+ is not an integer"):
+        ZetaCoeffTable(39)
+
+
 def _assert_each_size_is_a_prefix(sizes):
     # tables are built once, so a table "grows" by building the next size
-    # afresh; each solves over its own Lambda, computed from K (see _scale),
-    # so equal prefixes show that no c_k depends on Lambda
+    # afresh; each solves its last block over its own Lambda, computed from K
+    # (see _scale), so equal prefixes show that no c_k depends on Lambda
     largest = ZetaCoeffTable(max(sizes)).coeffs
     for size in sizes:
         assert ZetaCoeffTable(size).coeffs == largest[:size]
