@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 from statistics import median
 
 from .bernoulli import BernoulliTable, zeta_coeff_via_bernoulli
-from .exact import _int_str, _table_text, format_rational
+from .exact import _int_str, _require_int, _table_text, format_rational
 from .recursive import ZetaCoeffTable
 
 __all__ = ["BenchRow", "BenchReport", "BackendMismatchError", "bench_compare", "DEFAULT_SWEEP"]
@@ -76,14 +76,12 @@ def bench_compare(k_values, reps: int = 3) -> BenchReport:
     measurement), and every produced rational is checked for exact
     equality against the other backend before any timing is reported.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    _require_int("reps", reps, 1)
     k_values = list(k_values)
     if not k_values:
         raise ValueError("k_values must be non-empty")
     for k in k_values:
-        if k < 1:
-            raise ValueError(f"every k must be >= 1, got {k}")
+        _require_int("every k", k, 1)
 
     rows = []
     for k in k_values:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from operator import add, mul
 
-from .exact import _num_den_row, _table_text
+from .exact import _num_den_row, _require_int, _table_text
 
 __all__ = ["BernoulliTable", "zeta_coeff_via_bernoulli"]
 
@@ -39,8 +39,7 @@ class BernoulliTable:
     """B_0 .. B_max_index, exact, built once. Immutable after construction."""
 
     def __init__(self, max_index: int):
-        if max_index < 0:
-            raise ValueError(f"max_index must be >= 0, got {max_index}")
+        _require_int("max_index", max_index, 0)
         values = [Fraction(1)]
         # even[i] / den == B_(2i); den starts even, so B_1 = -(den // 2) / den
         den = 2
@@ -72,7 +71,8 @@ class BernoulliTable:
         return tuple(self._values)
 
     def value(self, m: int) -> Fraction:
-        if not 0 <= m <= self.max_index:
+        _require_int("m", m, 0)
+        if m > self.max_index:
             raise ValueError(f"index {m} outside table (max_index={self.max_index})")
         return self._values[m]
 
@@ -89,8 +89,7 @@ class BernoulliTable:
 
 def zeta_coeff_via_bernoulli(k: int, table: BernoulliTable) -> Fraction:
     """c_k from B_{2k}; the table must already cover index 2k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_int("k", k, 1)
     if table.max_index < 2 * k:
         raise ValueError(
             f"table covers B_0..B_{table.max_index}, need B_{2 * k}"

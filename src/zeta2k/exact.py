@@ -1,4 +1,8 @@
-"""Exact values as text: the one place that knows the package's output formats.
+"""Exact values as text, and the one rule for the package's size arguments.
+
+This is the one place that knows the package's output formats, and the
+one place that refuses an argument that is not an int or is below its
+least allowed value (:func:`_require_int`).
 
 All coefficients in this package are `fractions.Fraction` values, which
 already maintain the canonical form the cross-backend equality tests rely
@@ -23,6 +27,18 @@ __all__ = ["format_rational"]
 def format_rational(q: Fraction) -> str:
     """Render as ``num/den``, always including the denominator ("0/1", "-1/30")."""
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
+def _require_int(name: str, value, low: int) -> None:
+    """Refuse a value that is not an int, or is below low, naming the argument.
+
+    A float would pass a range test, then fail deep in the arithmetic or
+    silently count a wrong number of steps, so the type is checked first.
+    """
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _num_den_row(key: str, index: int, q: Fraction) -> dict[str, object]:

@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import factorial, perm
 from typing import TYPE_CHECKING
 
-from .exact import _int_str, _table_text
+from .exact import _int_str, _require_int, _table_text
 
 if TYPE_CHECKING:
     from .precision import HighPrecReal
@@ -77,8 +77,7 @@ class CosineCoeff:
 
     def substitute(self, n: int) -> dict[int, Fraction]:
         """Map pi_power -> rational coefficient with n plugged in."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        _require_int("n", n, 1)
         return {
             t.pi_power: Fraction(t.coeff.numerator, t.coeff.denominator * n**t.inv_n_power)
             for t in self.terms
@@ -107,14 +106,12 @@ class QuadratureError(Exception):
 
 def mean_coeff(k: int) -> Fraction:
     """Mean of (x-pi)^(2k) over [0, pi], as the coefficient of pi^(2k)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _require_int("k", k, 0)
     return Fraction(1, 2 * k + 1)
 
 
 def cosine_coeff_closed(k: int) -> CosineCoeff:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_int("k", k, 1)
     terms = tuple(
         CosineTerm(
             pi_power=2 * k - 2 - 2 * j,
@@ -132,10 +129,8 @@ def cosine_coeff_recursive(k: int, n: int) -> tuple[PiTerm, ...]:
     n is substituted numerically; coefficients stay exact rationals.
     Highest pi power first.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require_int("k", k, 1)
+    _require_int("n", n, 1)
     # step m adds the lead 4m/n^2 * pi^(2m-2), and every later step m' > m
     # multiplies it by b_m'; so the coefficient of pi^(2m-2) is 4m over
     # n^(2(k-m+1)) times the running product of -(2m')(2m'-1) for m' from
@@ -158,22 +153,20 @@ def b_factor(m: int, n: int) -> Fraction:
     Memoized for the 1024 most recent (m, n): the b-product checks ask for
     each b_m again for every longer product that contains it.  A Fraction
     is immutable, so callers share it safely; a refused (m, n) is not kept
-    and raises on every call.
+    and raises on every call.  The memo is typed: (2.0, 3) equals (2, 3),
+    and an untyped memo would answer it without the int check.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require_int("m", m, 1)
+    _require_int("n", n, 1)
     return Fraction(-(2 * m) * (2 * m - 1), n * n)
 
 
 def b_product_closed(k: int, j: int, n: int) -> Fraction:
     """Closed form of b_k * b_(k-1) * ... * b_(k-j)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= j <= k - 1:
+    _require_int("k", k, 1)
+    _require_int("n", n, 1)
+    _require_int("j", j, 0)
+    if j > k - 1:
         raise ValueError(f"j must satisfy 0 <= j <= k-1, got j={j}, k={k}")
     return Fraction((-1) ** (j + 1) * perm(2 * k, 2 * j + 2), n ** (2 * j + 2))
 
@@ -234,11 +227,11 @@ def _legendre_rule(bits: int) -> tuple[tuple[int, int], ...]:
 
 
 def _fixed_pi(bits: int) -> int:
-    """pi * 2**bits within 2, from the package's ``pi_value``."""
-    from .precision import PrecisionConfig, pi_value
+    """pi * 2**bits within 2, from the package's memoized pi run."""
+    from .precision import _pi_mpf
 
-    # bits/3 digits, with pi_value's 15 guard digits, are more than bits
-    _, man, exp, _ = pi_value(PrecisionConfig(digits=bits // 3))._raw
+    # bits/3 + 30 decimal digits are more than bits binary digits
+    _, man, exp, _ = _pi_mpf(bits // 3 + 30)
     return (man << bits) >> -exp
 
 
@@ -304,10 +297,8 @@ def cosine_coeff_quadrature(
     which is about 10^-(dps+17) * (2T + k + n) * 10^k: as dps counts k
     digits past tol's, far below tol.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require_int("k", k, 1)
+    _require_int("n", n, 1)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     from .precision import HighPrecReal, _dps_to_prec, _normalize
@@ -506,10 +497,8 @@ def reconstruct(k: int, x: float, n_terms: int) -> float:
     once (see ``_extraction_sum``), so it equals ``math.fsum`` of the terms
     and the only real error left is the series tail.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    _require_int("k", k, 1)
+    _require_int("n_terms", n_terms, 1)
     if not 0 <= x <= math.pi:
         raise ValueError(f"x must be in [0, pi], got {x}")
     import numpy as np

@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Any
 
-from .exact import _int_str
+from .exact import _int_str, _require_int
 
 __all__ = [
     "PrecisionConfig",
@@ -68,21 +68,9 @@ class PrecisionConfig:
     max_sum_terms: int = 10**8
 
     def __post_init__(self):
-        for name in ("digits", "guard", "max_sum_terms"):
-            _require_int(name, getattr(self, name))
-        if self.digits < 1:
-            raise ValueError(f"digits must be >= 1, got {self.digits}")
-        if self.guard < 15:
-            raise ValueError(f"guard must be >= 15, got {self.guard}")
-        if self.max_sum_terms < 1:
-            raise ValueError("max_sum_terms must be >= 1")
-
-
-def _require_int(name: str, value) -> None:
-    # a float passes the range checks, then fails deep in the bit arithmetic
-    # or, in feasible_digits, gives a wrong count
-    if not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        _require_int("digits", self.digits, 1)
+        _require_int("guard", self.guard, 15)
+        _require_int("max_sum_terms", self.max_sum_terms, 1)
 
 
 class _LazyMpf:
@@ -325,8 +313,7 @@ def pi_digits(frac_digits: int) -> str:
     pi may lie on either side of it; then the run is redone 15 digits
     longer, until the cut is sure.
     """
-    if frac_digits < 1:
-        raise ValueError("frac_digits must be >= 1")
+    _require_int("frac_digits", frac_digits, 1)
     extra = 15
     while True:
         scaled = _pi_scaled(frac_digits + extra)
@@ -365,9 +352,7 @@ def zeta_eval(k: int, cfg: PrecisionConfig, c_k: Fraction) -> HighPrecReal:
 
     c_k must be the verified coefficient for this k; it is trusted here.
     """
-    _require_int("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_int("k", k, 1)
     pi = pi_value(cfg)._raw
     # a small buffer past digits+guard so the guard digits are themselves
     # clean; the power loses only ~log10(2k) digits
@@ -406,9 +391,7 @@ def direct_sum_terms(k: int, cfg: PrecisionConfig) -> int:
     Exact integer arithmetic throughout: the float seed is only a starting
     point and the answer is adjusted against the bound itself.
     """
-    _require_int("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_int("k", k, 1)
     e = 2 * k - 1
     target = 10 ** (cfg.digits + 2)
     n = max(1, _floor_nth_root(target // e, e))
@@ -432,10 +415,8 @@ def _floor_nth_root(x: int, e: int) -> int:
 
 def feasible_digits(k: int, max_sum_terms: int) -> int:
     """Largest D the truncation bound can reach within the term budget."""
-    _require_int("k", k)
-    _require_int("max_sum_terms", max_sum_terms)
-    if k < 1 or max_sum_terms < 1:
-        raise ValueError("k and max_sum_terms must be >= 1")
+    _require_int("k", k, 1)
+    _require_int("max_sum_terms", max_sum_terms, 1)
     m = (2 * k - 1) * max_sum_terms ** (2 * k - 1)
     t = len(_int_str(m)) - 1
     if m == 10**t:
@@ -488,9 +469,7 @@ def zeta_direct_sum(k: int, cfg: PrecisionConfig) -> HighPrecReal:
     10^-(digits+guard+2) that M leaves for them.  Raises
     InfeasiblePrecisionError when M is over cfg.max_sum_terms.
     """
-    _require_int("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_int("k", k, 1)
     m = _enclosure_terms(k, cfg)
     if m > cfg.max_sum_terms:
         raise InfeasiblePrecisionError(
@@ -526,9 +505,7 @@ def format_real(x: HighPrecReal) -> str:
     is a power of two, by the divmod rule otherwise.
     """
     d = x.digits
-    _require_int("digits", d)
-    if d < 0:
-        raise ValueError(f"digits must be >= 0, got {d}")
+    _require_int("digits", d, 0)
     negative, num, den = _exact_parts(x._raw)
     sign = "-" if negative else ""
     # bit lengths at least 12 apart downwards put |x| above 2^-13 > 1e-4,

@@ -75,7 +75,7 @@ from fractions import Fraction
 from math import factorial, isqrt, lcm
 from operator import is_
 
-from .exact import _num_den_row, _table_text
+from .exact import _num_den_row, _require_int, _table_text
 
 __all__ = ["ZetaCoeffTable", "consistency_residual"]
 
@@ -103,8 +103,7 @@ class ZetaCoeffTable:
     """
 
     def __init__(self, max_k: int):
-        if max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {max_k}")
+        _require_int("max_k", max_k, 1)
         ends = [max_k]  # block ends, from max_k down to the floor
         while (lower := ends[-1] * _RUNG.numerator // _RUNG.denominator) >= _FLOOR:
             ends.append(lower)
@@ -147,8 +146,7 @@ class ZetaCoeffTable:
 
     def coeff(self, k: int) -> Fraction:
         """Return c_k for 1 <= k <= max_k."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        _require_int("k", k, 1)
         if k > len(self._coeffs):
             raise ValueError(f"k must be <= max_k = {len(self._coeffs)}, got {k}")
         return self._coeffs[k - 1]
@@ -200,8 +198,7 @@ def consistency_residual(table: ZetaCoeffTable, k: int) -> Fraction:
     rule too; the two stay separate code, so that one fault cannot zero
     every residual.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_int("k", k, 1)
     if k > table.max_k:
         raise ValueError(f"k must be <= max_k = {table.max_k}, got {k}")
     scale, scaled = _scaled_coeffs(table, k)

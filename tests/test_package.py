@@ -1,4 +1,5 @@
-"""The package surface and which heavy libraries each entry point loads.
+"""The package surface, its one rule for size arguments, and which heavy
+libraries each entry point loads.
 
 numpy, mpmath and the standard library's dataclasses (with inspect) and
 statistics are imported only by the code that uses them, so each import
@@ -13,9 +14,34 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 import zeta2k
+from zeta2k import (
+    BernoulliTable,
+    HighPrecReal,
+    PrecisionConfig,
+    ZetaCoeffTable,
+    b_factor,
+    b_product_closed,
+    bench_compare,
+    consistency_residual,
+    cosine_coeff_closed,
+    cosine_coeff_quadrature,
+    cosine_coeff_recursive,
+    direct_sum_terms,
+    feasible_digits,
+    format_real,
+    mean_coeff,
+    pi_digits,
+    reconstruct,
+    reconstruction_residual,
+    zeta_coeff_via_bernoulli,
+    zeta_direct_sum,
+    zeta_eval,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -301,3 +327,58 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(zeta2k, "nope")
     with pytest.raises(ImportError):
         exec("from zeta2k import nope", {})
+
+
+def _warm_b_factor(m):
+    b_factor(2, 3)  # an int key equal to (2.0, 3) is memoized first
+    return b_factor(m, 3)
+
+
+_TABLE = ZetaCoeffTable(5)
+_CFG = PrecisionConfig(digits=5)
+
+# (call of one argument, its name, its least allowed value, a float to refuse);
+# every public entry point that takes a size, index or count
+_SIZE_ARGUMENTS = {
+    "ZetaCoeffTable": (ZetaCoeffTable, "max_k", 1, 2.5),
+    "ZetaCoeffTable.coeff": (_TABLE.coeff, "k", 1, 2.0),
+    "consistency_residual": (lambda v: consistency_residual(_TABLE, v), "k", 1, 2.0),
+    "BernoulliTable": (BernoulliTable, "max_index", 0, 2.0),
+    "BernoulliTable.value": (BernoulliTable(4).value, "m", 0, 2.0),
+    "zeta_coeff_via_bernoulli": (
+        lambda v: zeta_coeff_via_bernoulli(v, BernoulliTable(8)), "k", 1, 2.0
+    ),
+    "bench_compare.k_values": (lambda v: bench_compare([v], reps=1), "every k", 1, 2.0),
+    "bench_compare.reps": (lambda v: bench_compare([2], reps=v), "reps", 1, 1.0),
+    "CosineCoeff.substitute": (cosine_coeff_closed(2).substitute, "n", 1, 2.0),
+    "mean_coeff": (mean_coeff, "k", 0, 2.0),
+    "cosine_coeff_closed": (cosine_coeff_closed, "k", 1, 2.0),
+    "cosine_coeff_recursive.k": (lambda v: cosine_coeff_recursive(v, 1), "k", 1, 2.0),
+    "cosine_coeff_recursive.n": (lambda v: cosine_coeff_recursive(1, v), "n", 1, 2.0),
+    "b_factor.m": (_warm_b_factor, "m", 1, 2.0),
+    "b_factor.n": (lambda v: b_factor(1, v), "n", 1, 2.0),
+    "b_product_closed.k": (lambda v: b_product_closed(v, 0, 1), "k", 1, 3.0),
+    "b_product_closed.j": (lambda v: b_product_closed(3, v, 2), "j", 0, 1.0),
+    "b_product_closed.n": (lambda v: b_product_closed(1, 0, v), "n", 1, 2.0),
+    "cosine_coeff_quadrature.k": (lambda v: cosine_coeff_quadrature(v, 1, 1e-12), "k", 1, 1.0),
+    "cosine_coeff_quadrature.n": (lambda v: cosine_coeff_quadrature(1, v, 1e-12), "n", 1, 1.0),
+    "reconstruct.k": (lambda v: reconstruct(v, 0.0, 10), "k", 1, 1.0),
+    "reconstruct.n_terms": (lambda v: reconstruct(1, 0.0, v), "n_terms", 1, 100.5),
+    "reconstruction_residual": (lambda v: reconstruction_residual(1, v), "n_terms", 1, 10.0),
+    "pi_digits": (pi_digits, "frac_digits", 1, 5.0),
+    "zeta_eval": (lambda v: zeta_eval(v, _CFG, Fraction(1, 6)), "k", 1, 1.0),
+    "direct_sum_terms": (lambda v: direct_sum_terms(v, _CFG), "k", 1, 2.0),
+    "feasible_digits.k": (lambda v: feasible_digits(v, 10), "k", 1, 2.0),
+    "feasible_digits.max_sum_terms": (lambda v: feasible_digits(2, v), "max_sum_terms", 1, 1e8),
+    "zeta_direct_sum": (lambda v: zeta_direct_sum(v, _CFG), "k", 1, 2.0),
+    "format_real": (lambda v: format_real(HighPrecReal(digits=v, value="1")), "digits", 0, 2.0),
+}
+
+
+@pytest.mark.parametrize("entry", _SIZE_ARGUMENTS)
+def test_every_size_argument_is_refused_by_one_rule(entry):
+    call, name, low, number = _SIZE_ARGUMENTS[entry]
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got float$"):
+        call(number)
+    with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {low - 1}$"):
+        call(low - 1)

@@ -69,6 +69,15 @@ def test_config_validation():
         PrecisionConfig(digits=5, guard=15.5)
     with pytest.raises(TypeError, match="max_sum_terms must be an int, got float"):
         PrecisionConfig(digits=5, max_sum_terms=1e8)
+    # each field by the package's one rule: type first, then the least value
+    with pytest.raises(ValueError, match="^digits must be >= 1, got 0$"):
+        PrecisionConfig(digits=0)
+    with pytest.raises(ValueError, match="^guard must be >= 15, got 14$"):
+        PrecisionConfig(digits=5, guard=14)
+    with pytest.raises(ValueError, match="^max_sum_terms must be >= 1, got 0$"):
+        PrecisionConfig(digits=5, max_sum_terms=0)
+    with pytest.raises(TypeError, match="^digits must be an int, got float$"):
+        PrecisionConfig(digits=5.0)
 
 
 @pytest.mark.parametrize(
